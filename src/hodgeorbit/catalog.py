@@ -460,23 +460,6 @@ def oracle_monodromy_axioms(n: Matrix, filt: Filtration, center: int = 0) -> boo
     return True
 
 
-def oracle_positivity(pairing: Pairing, pieces, samples) -> bool:
-    """Necessary-direction positivity oracle: v* M v > 0 on spanning vectors
-    and supplied sample vectors of each Hodge piece."""
-    for p, q, sub in pieces:
-        c = (GaussScalar(1), GaussScalar(0, 1), GaussScalar(-1), GaussScalar(0, -1))[(p - q) % 4]
-        vectors = [tuple(row) for row in sub.basis.entries]
-        vectors += [sub.vector_from_coords(s[: sub.dim]) for s in samples if len(s) >= sub.dim]
-        for v in vectors:
-            conj = tuple(x.conjugate() for x in v)
-            val = c * pairing.evaluate(v, conj)
-            if val.im != 0:
-                return False
-            if val.re <= 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The registry
 

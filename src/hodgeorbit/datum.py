@@ -115,12 +115,7 @@ def graded_maps(weight_filtration: Filtration, w: int) -> GradedMaps:
     wlow = weight_filtration.at(w - 1)
     proj_low = quotient_projection(wlow)
     gr_sub = image_of_subspace(proj_low, ww)
-    pivots = gr_sub.pivots()
-    row_select = Matrix.from_rows(
-        [[ONE if j == p else ZERO for j in range(proj_low.rows)] for p in pivots],
-        proj_low.rows,
-    )
-    project = row_select @ proj_low
+    project = proj_low.select_rows(gr_sub.pivots())
     section = quotient_section(wlow) @ gr_sub.basis.transpose()
     return GradedMaps(w, gr_sub.dim, project, section)
 
@@ -574,15 +569,13 @@ def sub_truncate(h: HodgeDatum, j: int):
     k = s.dim
     incl = s.basis.transpose()
     pivots = s.pivots()
-    restrict = Matrix.from_rows(
-        [[ONE if c == p else ZERO for c in range(h.dim)] for p in pivots], h.dim
-    )
+    restrict = Matrix.identity(h.dim).select_rows(pivots)
     w_pairs = [(kk, image_of_subspace(restrict, intersect(v, s))) for kk, v in h.weight_filtration.steps if kk <= j]
     wf = Filtration.make(k, True, w_pairs)
     f_pairs = [(p, image_of_subspace(restrict, intersect(h.hodge_filtration.at(p), s))) for p in h.hodge_filtration.jumps()]
     f_pairs.append((h.hodge_filtration.max_index() + 1, Subspace.zero(k)))
     ff = Filtration.make(k, False, f_pairs)
-    ops = tuple(restrict @ op @ incl for op in h.operators)
+    ops = tuple(op.select_rows(pivots) @ incl for op in h.operators)
     partial = HodgeDatum(wf, ff, ops, (), h.twist_tag)
     pairings = {}
     for w, p in h.graded_pairings:
@@ -592,7 +585,7 @@ def sub_truncate(h: HodgeDatum, j: int):
         gm = h.graded(w)
         if gm.dim == 0:
             continue
-        phi = gm_sub.project @ restrict @ gm.section
+        phi = gm_sub.project @ gm.section.select_rows(pivots)
         pairings[w] = _transport_pairing(p, phi)
     return make_datum(wf, ff, ops, pairings, h.twist_tag), incl
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, image_of_subspace, subspace_sum
+from .linalg import Matrix, Subspace, image_of_subspace
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,3 @@ def trivial_weight_filtration(ambient_dim: int, weight: int) -> Filtration:
     """Increasing filtration concentrated at a single weight."""
     return Filtration.make(ambient_dim, True, [(weight, Subspace.full(ambient_dim))])
 
-
-def filtration_sum(a: Filtration, b: Filtration, offsets=(0, 0)) -> Filtration:
-    """Pointwise sum of two filtrations in the same ambient space."""
-    if a.ambient_dim != b.ambient_dim or a.increasing != b.increasing:
-        raise ValueError("incompatible filtrations")
-    ks = sorted(set(k + offsets[0] for k in a.jumps()) | set(k + offsets[1] for k in b.jumps()))
-    pairs = [(k, subspace_sum(a.at(k - offsets[0]), b.at(k - offsets[1]))) for k in ks]
-    return Filtration.make(a.ambient_dim, a.increasing, pairs)

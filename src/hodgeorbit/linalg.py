@@ -7,11 +7,23 @@ Conventions used throughout the package:
   row-echelon form.  The echelon form is canonical, so two subspaces are
   equal iff their basis matrices are identical -- this is the equality
   witness for every filtration comparison downstream.
+
+Every :class:`Subspace` holds that canonical basis, and ``Subspace.zero(n)``
+and ``Subspace.full(n)`` are shared immutable instances.  ``intersect``,
+``subspace_sum``, ``Subspace.contains_subspace`` and ``image_of_subspace``
+rely on this: when an argument is the zero or the full space the answer is
+known without elimination, and they return an argument (or the shared zero
+space) unchanged, which is exactly the basis that elimination produces.
+
+Matrices built here from entries that are already ``GaussScalar`` skip the
+per-entry coercion through the keyword-only ``_raw`` flag of
+:class:`Matrix`; callers outside this module pass plain entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .scalars import GaussScalar, ZERO, ONE
 
@@ -25,12 +37,18 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, cols: int | None = None):
-        rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
-        ncols = len(rows[0]) if rows else (cols if cols is not None else 0)
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
+    def __init__(self, entries, cols: int | None = None, *, _raw: bool = False):
+        # _raw: ``entries`` is a tuple of equal-length tuples of GaussScalar,
+        # as every result computed in this module is, and is stored as is.
+        if _raw:
+            rows = entries
+            ncols = len(rows[0]) if rows else cols
+        else:
+            rows = tuple(tuple(_coerce(x) for x in row) for row in entries)
+            ncols = len(rows[0]) if rows else (cols if cols is not None else 0)
+            for row in rows:
+                if len(row) != ncols:
+                    raise ValueError("ragged matrix")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)
@@ -42,11 +60,11 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)], cols)
+        return Matrix(((ZERO,) * cols,) * rows, cols, _raw=True)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n, _raw=True)
 
     @staticmethod
     def from_rows(rows, cols: int | None = None) -> "Matrix":
@@ -74,66 +92,70 @@ class Matrix:
     def __add__(self, other):
         self._same_shape(other)
         return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            self.cols,
+            _raw=True,
         )
 
     def __sub__(self, other):
         self._same_shape(other)
         return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            self.cols,
+            _raw=True,
         )
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.entries])
+        return Matrix(tuple(tuple(-a for a in row) for row in self.entries), self.cols, _raw=True)
 
     def scale(self, c) -> "Matrix":
         c = _coerce(c)
-        return Matrix([[c * a for a in row] for row in self.entries])
+        return Matrix(tuple(tuple(c * a for a in row) for row in self.entries), self.cols, _raw=True)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ot = other.entries
+        # The nonzero entries of each row of ``other``, found once.
+        support = [[(j, b) for j, b in enumerate(orow) if not b.is_zero()] for orow in other.entries]
         out = []
         for row in self.entries:
             new = [ZERO] * other.cols
-            for k, a in enumerate(row):
+            for a, terms in zip(row, support):
                 if a.is_zero():
                     continue
-                orow = ot[k]
-                for j in range(other.cols):
-                    b = orow[j]
-                    if not b.is_zero():
-                        new[j] = new[j] + a * b
-            out.append(new)
-        return Matrix.from_rows(out, other.cols)
+                for j, b in terms:
+                    new[j] = new[j] + a * b
+            out.append(tuple(new))
+        return Matrix(tuple(out), other.cols, _raw=True)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
+        terms = [(k, x) for k, x in enumerate(map(_coerce, vec)) if not x.is_zero()]
         out = []
         for row in self.entries:
             s = ZERO
-            for a, x in zip(row, vec):
-                if not (a.is_zero() or _coerce(x).is_zero()):
-                    s = s + a * _coerce(x)
+            for k, x in terms:
+                a = row[k]
+                if not a.is_zero():
+                    s = s + a * x
             out.append(s)
         return tuple(out)
 
+    def select_rows(self, idx) -> "Matrix":
+        """The rows at the given indices, in that order: the product of the
+        0/1 selector matrix with one 1 per row (at ``idx[r]``) and ``self``."""
+        entries = self.entries
+        return Matrix(tuple(entries[i] for i in idx), self.cols, _raw=True)
+
     def transpose(self) -> "Matrix":
         if self.rows == 0:
-            return Matrix([[] for _ in range(self.cols)], 0)
-        return Matrix(list(zip(*self.entries)), self.rows)
+            return Matrix(((),) * self.cols, 0, _raw=True)
+        return Matrix(tuple(zip(*self.entries)), self.rows, _raw=True)
 
     def conjugate(self) -> "Matrix":
-        return Matrix([[a.conjugate() for a in row] for row in self.entries])
+        return Matrix(tuple(tuple(a.conjugate() for a in row) for row in self.entries), self.cols, _raw=True)
 
     def conj_transpose(self) -> "Matrix":
         return self.conjugate().transpose()
@@ -154,7 +176,7 @@ class Matrix:
         return all(a.is_zero() for row in self.entries for a in row)
 
     def is_rational(self) -> bool:
-        return all(a.im == 0 for row in self.entries for a in row)
+        return all(a.b == 0 for row in self.entries for a in row)
 
     def row(self, i) -> tuple:
         return self.entries[i]
@@ -165,15 +187,15 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in stack")
-        return Matrix.from_rows(list(self.entries) + list(other.entries), self.cols)
+        return Matrix(self.entries + other.entries, self.cols, _raw=True)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; (A kron B)(e_i x e_j) = A e_i x B e_j."""
         out = []
         for arow in self.entries:
             for brow in other.entries:
-                out.append([a * b for a in arow for b in brow])
-        return Matrix.from_rows(out, self.cols * other.cols)
+                out.append(tuple(a * b for a in arow for b in brow))
+        return Matrix(tuple(out), self.cols * other.cols, _raw=True)
 
     def det(self) -> GaussScalar:
         if self.rows != self.cols:
@@ -236,7 +258,6 @@ def echelonize(m: Matrix) -> Matrix:
     rows = [list(r) for r in m.entries]
     nrows, ncols = m.rows, m.cols
     piv_row = 0
-    pivots = []
     for col in range(ncols):
         r = next((i for i in range(piv_row, nrows) if not rows[i][col].is_zero()), None)
         if r is None:
@@ -247,28 +268,30 @@ def echelonize(m: Matrix) -> Matrix:
             inv = ONE / piv_val
             rows[piv_row] = [x if x.is_zero() else inv * x for x in rows[piv_row]]
         pivot = rows[piv_row]
+        support = [j for j, y in enumerate(pivot) if not y.is_zero()]
         for i in range(nrows):
             if i == piv_row:
                 continue
-            f = rows[i][col]
+            row = rows[i]
+            f = row[col]
             if f.is_zero():
                 continue
-            rows[i] = [x if y.is_zero() else x - f * y for x, y in zip(rows[i], pivot)]
-        pivots.append(col)
+            for j in support:
+                row[j] = row[j] - f * pivot[j]
         piv_row += 1
         if piv_row == nrows:
             break
-    return Matrix.from_rows(rows[:piv_row], ncols)
+    return Matrix(tuple(tuple(r) for r in rows[:piv_row]), ncols, _raw=True)
 
 
-def _pivot_cols(rref: Matrix) -> list[int]:
+def _pivot_cols(rref: Matrix) -> tuple:
     pivots = []
     for row in rref.entries:
         for j, a in enumerate(row):
             if not a.is_zero():
                 pivots.append(j)
                 break
-    return pivots
+    return tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -280,30 +303,41 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient: int, vectors) -> "Subspace":
-        vecs = [tuple(_coerce(x) for x in v) for v in vectors]
+        vecs = tuple(tuple(_coerce(x) for x in v) for v in vectors)
         for v in vecs:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        return Subspace(ambient, echelonize(Matrix.from_rows(vecs, ambient)))
+        return _span(ambient, vecs)
 
     @staticmethod
     def from_matrix_rows(m: Matrix) -> "Subspace":
         return Subspace(m.cols, echelonize(m))
 
     @staticmethod
+    @cache
     def zero(ambient: int) -> "Subspace":
+        """The zero subspace; one shared instance per ambient dimension."""
         return Subspace(ambient, Matrix.zeros(0, ambient))
 
     @staticmethod
+    @cache
     def full(ambient: int) -> "Subspace":
+        """The whole space; one shared instance per ambient dimension."""
         return Subspace(ambient, Matrix.identity(ambient))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
-    def pivots(self) -> list[int]:
+    def is_full(self) -> bool:
+        return self.basis.rows == self.ambient
+
+    @cached_property
+    def _pivots(self) -> tuple:
         return _pivot_cols(self.basis)
+
+    def pivots(self) -> tuple:
+        return self._pivots
 
     def reduce(self, vec) -> tuple:
         """Subtract the projection onto the pivot coordinates; the result is
@@ -314,13 +348,23 @@ class Subspace:
         for row, p in zip(self.basis.entries, self.pivots()):
             c = v[p]
             if not c.is_zero():
-                v = [x - c * y for x, y in zip(v, row)]
+                for j, y in enumerate(row):
+                    if not y.is_zero():
+                        v[j] = v[j] - c * y
         return tuple(v)
 
     def contains(self, vec) -> bool:
         return all(x.is_zero() for x in self.reduce(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        if other.dim == 0:
+            return True
+        if other.ambient != self.ambient:
+            raise ValueError("ambient dimension mismatch")
+        if self.is_full():
+            return True
+        if other.dim > self.dim:
+            return False
         return all(self.contains(row) for row in other.basis.entries)
 
     def coords_of(self, vec) -> tuple:
@@ -358,6 +402,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
+def _span(ambient: int, rows) -> Subspace:
+    """The span of rows that are already tuples of GaussScalar."""
+    return Subspace(ambient, echelonize(Matrix(tuple(rows), ambient, _raw=True)))
+
+
 def kernel(m: Matrix) -> Subspace:
     """Right null space {v : m v = 0}."""
     rref = echelonize(m)
@@ -369,8 +418,8 @@ def kernel(m: Matrix) -> Subspace:
         v[j] = ONE
         for row, p in zip(rref.entries, pivots):
             v[p] = -row[j]
-        basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+        basis.append(tuple(v))
+    return _span(m.cols, basis)
 
 
 def image(m: Matrix) -> Subspace:
@@ -383,17 +432,25 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     left half span the intersection on the right."""
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
+    if a.dim == 0 or b.is_full():
+        return a
+    if b.dim == 0 or a.is_full():
+        return b
     n = a.ambient
-    rows = [list(r) + list(r) for r in a.basis.entries]
-    rows += [list(r) + [ZERO] * n for r in b.basis.entries]
-    rref = echelonize(Matrix.from_rows(rows, 2 * n))
+    pad = (ZERO,) * n
+    rows = tuple(r + r for r in a.basis.entries) + tuple(r + pad for r in b.basis.entries)
+    rref = echelonize(Matrix(rows, 2 * n, _raw=True))
     out = [row[n:] for row in rref.entries if all(x.is_zero() for x in row[:n])]
-    return Subspace.from_vectors(n, out)
+    return _span(n, out)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise ValueError("ambient dimension mismatch")
+    if b.dim == 0 or a.is_full():
+        return a
+    if a.dim == 0 or b.is_full():
+        return b
     return Subspace.from_matrix_rows(a.basis.stack(b.basis))
 
 
@@ -408,8 +465,11 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
 def image_of_subspace(m: Matrix, s: Subspace) -> Subspace:
     if m.cols != s.ambient:
         raise ValueError("ambient dimension mismatch")
-    vecs = [m.apply(row) for row in s.basis.entries]
-    return Subspace.from_vectors(m.rows, vecs)
+    if s.dim == 0:
+        return Subspace.zero(m.rows)
+    if s.is_full():
+        return image(m)
+    return _span(m.rows, [m.apply(row) for row in s.basis.entries])
 
 
 def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
@@ -418,7 +478,7 @@ def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
     for u in a.basis.entries:
         for v in b.basis.entries:
             vecs.append(tuple(x * y for x in u for y in v))
-    return Subspace.from_vectors(a.ambient * b.ambient, vecs)
+    return _span(a.ambient * b.ambient, vecs)
 
 
 def solve(m: Matrix, rhs) -> tuple | None:
@@ -430,10 +490,7 @@ def solve(m: Matrix, rhs) -> tuple | None:
     rhs = [_coerce(x) for x in rhs]
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix.from_rows(
-        [list(row) + [r] for row, r in zip(m.entries, rhs)] if m.rows else [],
-        m.cols + 1,
-    )
+    aug = Matrix(tuple(row + (r,) for row, r in zip(m.entries, rhs)), m.cols + 1, _raw=True)
     rref = echelonize(aug)
     x = [ZERO] * m.cols
     for row in rref.entries:
@@ -465,7 +522,7 @@ def quotient_projection(s: Subspace) -> Matrix:
         e[j] = ONE
         red = s.reduce(e)
         cols.append([red[t] for t in nonpiv])
-    return Matrix.from_rows(list(zip(*cols)) if nonpiv else [], n)
+    return Matrix(tuple(zip(*cols)), n, _raw=True)
 
 
 def quotient_section(s: Subspace) -> Matrix:
@@ -478,8 +535,8 @@ def quotient_section(s: Subspace) -> Matrix:
         row = [ZERO] * len(nonpiv)
         if j in nonpiv:
             row[nonpiv.index(j)] = ONE
-        rows.append(row)
-    return Matrix.from_rows(rows, len(nonpiv))
+        rows.append(tuple(row))
+    return Matrix(tuple(rows), len(nonpiv), _raw=True)
 
 
 def is_positive_definite_hermitian(m: Matrix) -> bool:
@@ -494,7 +551,7 @@ def is_positive_definite_hermitian(m: Matrix) -> bool:
     if m != m.conj_transpose():
         raise ValueError("matrix is not Hermitian")
     for k in range(1, m.rows + 1):
-        minor = Matrix.from_rows([row[:k] for row in m.entries[:k]], k).det()
+        minor = Matrix(tuple(row[:k] for row in m.entries[:k]), k, _raw=True).det()
         if minor.im != 0:
             raise ValueError("Hermitian minor came out non-real")
         if minor.re <= 0:

@@ -54,14 +54,10 @@ def _induced_map_on_graded(n: Matrix, filt: Filtration, k_from: int, k_to: int, 
         return None
     proj_to = quotient_projection(low_to)
     gr_to = image_of_subspace(proj_to, top_to)
-    pivots = gr_to.pivots()
-    sel = Matrix.from_rows(
-        [[ONE if c == p else ZERO for c in range(proj_to.rows)] for p in pivots], proj_to.rows
-    )
     proj_low_from = quotient_projection(low_from)
     gr_from = image_of_subspace(proj_low_from, top_from)
     sec_from = quotient_section(low_from) @ gr_from.basis.transpose()
-    return (sel @ proj_to) @ np @ sec_from
+    return proj_to.select_rows(gr_to.pivots()) @ np @ sec_from
 
 
 def satisfies_monodromy_axioms(n: Matrix, filt: Filtration, center: int = 0) -> bool:
@@ -103,11 +99,7 @@ def satisfies_relative_axioms(n: Matrix, w: Filtration, m: Filtration) -> bool:
         g = gr.dim
         if g == 0:
             continue
-        pivots = gr.pivots()
-        sel = Matrix.from_rows(
-            [[ONE if c == p else ZERO for c in range(proj.rows)] for p in pivots], proj.rows
-        )
-        to_gr = sel @ proj
+        to_gr = proj.select_rows(gr.pivots())
         sec = quotient_section(wlow) @ gr.basis.transpose()
         n_gr = to_gr @ n @ sec
         pairs = []
@@ -142,11 +134,7 @@ def _weight_monodromy_raw(n: Matrix) -> list:
     # Recurse on ker N^k / im N^k with the induced operator.
     proj = quotient_projection(im_bot)
     sub = image_of_subspace(proj, ker_top)
-    pivots = sub.pivots()
-    sel = Matrix.from_rows(
-        [[ONE if c == p else ZERO for c in range(proj.rows)] for p in pivots], proj.rows
-    )
-    to_q = sel @ proj
+    to_q = proj.select_rows(sub.pivots())
     sec = quotient_section(im_bot) @ sub.basis.transpose()
     n_q = to_q @ n @ sec
     inner = _weight_monodromy_raw(n_q)
@@ -202,10 +190,7 @@ def _relative_pairs(n: Matrix, w: Filtration):
     asub = w.at(a)
     pivots = asub.pivots()
     incl_a = asub.basis.transpose()
-    restrict_a = Matrix.from_rows(
-        [[ONE if c == p else ZERO for c in range(dim)] for p in pivots], dim
-    )
-    n_a = restrict_a @ n @ incl_a
+    n_a = n.select_rows(pivots) @ incl_a
     m_a_pairs = [(k + a, s) for k, s in _weight_monodromy_raw(n_a)]
     proj = quotient_projection(asub)
     sec = quotient_section(asub)
@@ -216,8 +201,9 @@ def _relative_pairs(n: Matrix, w: Filtration):
         return None
     m_a = Filtration.make(asub.dim, True, m_a_pairs) if asub.dim else None
     m_b = Filtration.make(proj.rows, True, m_b_pairs)
-    # rho measures the failure of the coordinate section to commute with N.
-    rho = n @ sec - sec @ n_b  # lands in A
+    # rho measures the failure of the coordinate section to commute with N;
+    # it lands in A, and rho_a is rho in A-coordinates.
+    rho_a = (n @ sec - sec @ n_b).select_rows(pivots)
     # Solve for phi: B -> A with N_A phi - phi N_B + rho mapping M^B_k into
     # M^A_{k-2} for every k.  Unknowns are the entries of phi.
     nb_dim, na_dim = proj.rows, asub.dim
@@ -235,7 +221,7 @@ def _relative_pairs(n: Matrix, w: Filtration):
         red = quotient_projection(mak2)
         for b_vec in mbk.basis.entries:
             # rho(b) + N_A phi(b) - phi(N_B b) must reduce to zero.
-            rho_b = restrict_a.apply(rho.apply(b_vec))
+            rho_b = rho_a.apply(b_vec)
             nb_b = n_b.apply(b_vec)
             const = red.apply(rho_b)
             # coefficient of phi[r][c]: N_A e_r * b[c] - e_r * (N_B b)[c]

@@ -40,7 +40,7 @@ from .monodromy import (
     shift,
     weight_monodromy,
 )
-from .scalars import GaussScalar, ONE, ZERO, imaginary
+from .scalars import GaussScalar, ZERO, imaginary
 
 CERTIFIED = "CERTIFIED"
 SUPPORTED = "SUPPORTED"
@@ -332,16 +332,14 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
         pair_matrix = incl.transpose() @ o.pairing.matrix @ power @ incl
         pairing = Pairing(pair_matrix, -k, (-1) ** (k % 2))
         pivots = prim.pivots()
-        sel = Matrix.from_rows(
-            [[ONE if c == p else ZERO for c in range(gm.dim)] for p in pivots], gm.dim
-        )
+        sel = Matrix.identity(gm.dim).select_rows(pivots)
         f_pairs = []
         for p in o.hodge_filtration.jumps():
             fp_gr = image_of_subspace(gm.project, intersect(o.hodge_filtration.at(p), wfilt.at(k)))
             f_pairs.append((p, image_of_subspace(sel, intersect(fp_gr, prim))))
         f_pairs.append((o.hodge_filtration.max_index() + 1, Subspace.zero(prim.dim)))
         ff = Filtration.make(prim.dim, False, f_pairs)
-        ops = tuple((sel @ (gm.project @ op @ gm.section)) @ prim.basis.transpose() for op in o.operators[1:])
+        ops = tuple(gm.project.select_rows(pivots) @ op @ gm.section @ prim.basis.transpose() for op in o.operators[1:])
         parts.append(PrimitivePart(k, prim, pairing, ff, ops))
     return PrimitiveDecomposition(w, tuple(parts), count == n)
 

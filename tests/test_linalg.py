@@ -9,6 +9,7 @@ from hodgeorbit.linalg import (
     Subspace,
     echelonize,
     image,
+    image_of_subspace,
     intersect,
     is_positive_definite_hermitian,
     kernel,
@@ -95,6 +96,84 @@ def test_dimension_formula(data):
     a = Subspace.from_vectors(n, data.draw(vecs))
     b = Subspace.from_vectors(n, data.draw(vecs))
     assert a.dim + b.dim == intersect(a, b).dim + subspace_sum(a, b).dim
+
+
+# -- shortcuts on trivial subspaces, against the general formulas -------------
+
+gauss = st.builds(GaussScalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def subspaces(draw, n):
+    """Subspaces of Q(i)^n; the zero and the full space are drawn often."""
+    kind = draw(st.sampled_from(("zero", "full", "span")))
+    if kind == "zero":
+        return Subspace.zero(n)
+    if kind == "full":
+        return Subspace.full(n)
+    vecs = draw(st.lists(st.lists(gauss, min_size=n, max_size=n), max_size=n + 1))
+    return Subspace.from_vectors(n, vecs)
+
+
+def _rref(rows, cols):
+    return echelonize(Matrix(rows, cols))
+
+
+def _intersect_reference(a, b):
+    # Zassenhaus on [[A|A],[B|0]], then the canonical basis of the right halves.
+    n = a.ambient
+    rows = [list(r) + list(r) for r in a.basis.entries]
+    rows += [list(r) + [ZERO] * n for r in b.basis.entries]
+    rref = _rref(rows, 2 * n)
+    return _rref([row[n:] for row in rref.entries if all(x.is_zero() for x in row[:n])], n)
+
+
+def _sum_reference(a, b):
+    return _rref(list(a.basis.entries) + list(b.basis.entries), a.ambient)
+
+
+def _image_reference(m, s):
+    return _rref([m.apply(row) for row in s.basis.entries], m.rows)
+
+
+def _is_canonical(s):
+    return echelonize(s.basis) == s.basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_operations_agree_with_general_formulas(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    a = data.draw(subspaces(n))
+    b = data.draw(subspaces(n))
+    meet, join = intersect(a, b), subspace_sum(a, b)
+    assert meet.basis == _intersect_reference(a, b) and _is_canonical(meet)
+    assert join.basis == _sum_reference(a, b) and _is_canonical(join)
+    assert a.contains_subspace(b) == (_sum_reference(a, b).rows == a.dim)
+    assert b.contains_subspace(a) == (_sum_reference(a, b).rows == b.dim)
+    rows = data.draw(st.integers(min_value=0, max_value=6))
+    m = Matrix(data.draw(st.lists(st.lists(gauss, min_size=n, max_size=n), min_size=rows, max_size=rows)), n)
+    img = image_of_subspace(m, a)
+    assert img.ambient == rows
+    assert img.basis == _image_reference(m, a) and _is_canonical(img)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_select_rows_is_the_selector_product(data):
+    rows = data.draw(st.integers(min_value=0, max_value=6))
+    cols = data.draw(st.integers(min_value=0, max_value=6))
+    m = Matrix(data.draw(st.lists(st.lists(gauss, min_size=cols, max_size=cols), min_size=rows, max_size=rows)), cols)
+    idx = data.draw(st.lists(st.integers(0, rows - 1), max_size=6)) if rows else []
+    selector = Matrix([[1 if c == p else 0 for c in range(rows)] for p in idx], rows)
+    assert m.select_rows(idx) == selector @ m
+
+
+def test_trivial_subspaces_are_shared():
+    for n in range(7):
+        assert Subspace.zero(n) is Subspace.zero(n)
+        assert Subspace.full(n) is Subspace.full(n)
+        assert Subspace.full(n).pivots() == tuple(range(n))
 
 
 def test_preimage_semantics():

@@ -77,6 +77,7 @@ from .construct import (
     SurjectionCertificate,
     build_selfdual_extension,
     certify_embedding,
+    certify_surjection,
     embed_general,
     embed_two_weights,
     mixed_to_orbit,

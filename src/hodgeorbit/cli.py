@@ -17,6 +17,7 @@ from . import docio
 from .catalog import catalog_by_name, catalog_entries, gen_random_mhs
 from .construct import (
     certify_embedding,
+    certify_surjection,
     embed_general,
     mixed_to_orbit,
     orbit_to_mixed,
@@ -24,7 +25,7 @@ from .construct import (
 )
 from .datum import HodgeDatum, OrbitDatum, PairedDatum
 from .monodromy import relative_monodromy, weight_monodromy
-from .verify import Policy, check_mixed_orbit, check_pure_orbit, shear_equivalence_report
+from .verify import Policy, check_mixed_orbit, check_pure_orbit, mhs_failures, shear_equivalence_report
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -102,8 +103,6 @@ def cmd_check_mhs(args) -> int:
         raise docio.ValidationError("check-mhs expects a mixed document")
     verdict = check_mixed_orbit(obj, _policy(args))
     report = _verdict_report(verdict)
-    from .verify import mhs_failures
-
     report["failing_weights"] = mhs_failures(obj)
     _emit_report(args, report)
     return _exit_for(verdict)
@@ -190,61 +189,12 @@ def cmd_verify_certificate(args) -> int:
     policy = _policy(args)
     if raw["kind"] == "embedding":
         cert = certify_embedding(raw["source"], raw["target"], raw["map"], policy, raw["shear"])
-        conditions = {
-            "a": cert.condition_a,
-            "b": cert.condition_b,
-            "i": cert.condition_i,
-            "ii": cert.condition_ii,
-            "intertwines": cert.intertwines,
-            "new_operator_kills_image": cert.new_operator_kills_image,
-        }
-        ok = cert.verified
         orbit = cert.orbit_verdict
     else:
-        source, target, surj = raw["source"], raw["target"], raw["map"]
-        if not isinstance(source, OrbitDatum) or not isinstance(target, HodgeDatum):
-            raise docio.ValidationError("surjection certificate has wrong data kinds")
-        cert = _reverify_surjection(source, target, surj, policy)
-        conditions = {
-            "a": cert.condition_a,
-            "b": cert.condition_b,
-            "i": cert.condition_i,
-            "ii": cert.condition_ii,
-            "intertwines": cert.intertwines,
-            "new_operator_dies": cert.new_operator_dies,
-        }
-        ok = cert.verified
+        cert = certify_surjection(raw["source"], raw["target"], raw["map"], policy)
         orbit = cert.source_verdict
-    _emit_report(args, {"verified": ok, "conditions": conditions, "orbit": _verdict_report(orbit)})
-    return EXIT_OK if ok else EXIT_REFUTED
-
-
-def _reverify_surjection(source, target, surj, policy):
-    from .construct import SurjectionCertificate
-    from .linalg import echelonize, image_of_subspace
-    from .monodromy import shift, weight_monodromy as wm
-
-    surjective = echelonize(surj).rows == target.dim
-    inter = len(source.operators) == len(target.operators) + 1
-    if inter:
-        for ns, nt in zip(source.operators[1:], target.operators):
-            if surj @ ns != nt @ surj:
-                inter = False
-    dies = (surj @ source.operators[0]).is_zero() if source.operators else False
-    cond_a = True
-    for p in sorted(set(target.hodge_filtration.jumps()) | set(source.hodge_filtration.jumps())):
-        if image_of_subspace(surj, source.hodge_filtration.at(p)) != target.hodge_filtration.at(p):
-            cond_a = False
-    mf = shift(wm(source.operators[0]), source.weight)
-    cond_b = True
-    for k in sorted(set(target.weight_filtration.jumps()) | set(mf.jumps())):
-        if image_of_subspace(surj, mf.at(k)) != target.weight_filtration.at(k):
-            cond_b = False
-    verdict = check_pure_orbit(source, policy)
-    return SurjectionCertificate(
-        source, target, surj, cond_a, cond_b, surjective,
-        source.pairing.is_perfect(), inter, dies, verdict,
-    )
+    _emit_report(args, {"verified": cert.verified, "conditions": cert.conditions, "orbit": _verdict_report(orbit)})
+    return EXIT_OK if cert.verified else EXIT_REFUTED
 
 
 def cmd_orbit_to_mixed(args) -> int:

@@ -24,7 +24,7 @@ Pipeline, bottom up:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .datum import (
@@ -38,6 +38,7 @@ from .datum import (
     make_datum,
     matrix_inverse,
     pushout,
+    shear_operators,
     sub_truncate,
     sum_operators,
     quotient_datum,
@@ -50,9 +51,12 @@ from .linalg import (
     Matrix,
     Subspace,
     echelonize,
+    image,
     image_of_subspace,
     kernel,
     preimage,
+    quotient_projection,
+    quotient_section,
     solve,
 )
 from .monodromy import relative_monodromy, shift, weight_monodromy
@@ -64,6 +68,7 @@ from .verify import (
     lefschetz_graded_pairings,
     primitive_parts,
     REFUTED,
+    sampled_orbit_membership,
 )
 
 
@@ -86,16 +91,19 @@ class EmbeddingCertificate:
     shear: int = 0  # reparametrization coefficient of the log coordinate
 
     @property
+    def conditions(self) -> dict:
+        return {
+            "a": self.condition_a,
+            "b": self.condition_b,
+            "i": self.condition_i,
+            "ii": self.condition_ii,
+            "intertwines": self.intertwines,
+            "new_operator_kills_image": self.new_operator_kills_image,
+        }
+
+    @property
     def verified(self) -> bool:
-        return (
-            self.condition_a
-            and self.condition_b
-            and self.condition_i
-            and self.condition_ii
-            and self.intertwines
-            and self.new_operator_kills_image
-            and self.orbit_verdict.passed
-        )
+        return all(self.conditions.values()) and self.orbit_verdict.passed
 
 
 @dataclass(frozen=True)
@@ -112,16 +120,19 @@ class SurjectionCertificate:
     source_verdict: Verdict
 
     @property
+    def conditions(self) -> dict:
+        return {
+            "a": self.condition_a,
+            "b": self.condition_b,
+            "i": self.condition_i,
+            "ii": self.condition_ii,
+            "intertwines": self.intertwines,
+            "new_operator_dies": self.new_operator_dies,
+        }
+
+    @property
     def verified(self) -> bool:
-        return (
-            self.condition_a
-            and self.condition_b
-            and self.condition_i
-            and self.condition_ii
-            and self.intertwines
-            and self.new_operator_dies
-            and self.source_verdict.passed
-        )
+        return all(self.conditions.values()) and self.source_verdict.passed
 
 
 @dataclass(frozen=True)
@@ -153,11 +164,8 @@ def build_selfdual_extension(h: HodgeDatum, unit_generator=None, policy: Policy 
     bottom = h.weight_filtration.at(-2)
     if bottom.dim != 1:
         raise ValueError("bottom graded piece must be one-dimensional")
-    for op in h.operators:
-        for p in range(h.hodge_filtration.min_index(), h.hodge_filtration.max_index() + 2):
-            img = image_of_subspace(op, h.hodge_filtration.at(p))
-            if not h.hodge_filtration.at(p - 1).contains_subspace(img):
-                raise ValueError("input violates Griffiths transversality")
+    if not all(h.hodge_filtration.is_transverse(op) for op in h.operators):
+        raise ValueError("input violates Griffiths transversality")
     if unit_generator is None:
         unit_generator = bottom.basis.entries[0]
     g = tuple(GaussScalar.of(x) for x in unit_generator)
@@ -224,17 +232,12 @@ def build_selfdual_extension(h: HodgeDatum, unit_generator=None, policy: Policy 
     log_op = Matrix.from_rows(nn_rows, n + 1)
     if not (log_op @ log_op).is_zero():
         raise AssertionError("log operator must square to zero")
-    incl = Matrix.from_rows(
-        [[ONE if c == r else ZERO for c in range(n)] for r in range(n)] + [[ZERO] * n], n
-    )
+    incl = Matrix.block_diag(Matrix.identity(n), Matrix.zeros(1, 0))
 
     # Transversality is inherited from the twisted dual through the lift;
     # verify it exactly rather than trusting the argument.
-    for op in ext.operators:
-        for p in range(ext.hodge_filtration.min_index(), ext.hodge_filtration.max_index() + 2):
-            img = image_of_subspace(op, ext.hodge_filtration.at(p))
-            if not ext.hodge_filtration.at(p - 1).contains_subspace(img):
-                raise AssertionError("lifted extension violates transversality")
+    if not all(ext.hodge_filtration.is_transverse(op) for op in ext.operators):
+        raise AssertionError("lifted extension violates transversality")
     _verify_quotient_class(h, ext, q_datum, q_maps, psi if q_dim else None, rep_tq, g)
     return SelfDualExtension(h, ext, log_op, incl, g + (ZERO,))
 
@@ -246,8 +249,6 @@ def _verify_quotient_class(h, ext, q_datum, q_maps, psi, rep_tq, g):
         return
     qd, proj_g = quotient_datum(ext, -2)
     # Unit covector on the quotient: e-coordinate of the canonical section.
-    from .linalg import quotient_section
-
     bottom = ext.weight_filtration.at(-2)
     sec = quotient_section(bottom)
     e_row = sec.entries[ext.dim - 1]
@@ -393,21 +394,55 @@ def certify_embedding(
             if inj @ ns != nt @ inj:
                 inter = False
     kills = (target.operators[0] @ inj).is_zero() if target.operators else False
-    cond_a = True
-    for p in sorted(set(source.hodge_filtration.jumps()) | set(target.hodge_filtration.jumps())):
-        if preimage(inj, target.hodge_filtration.at(p)) != source.hodge_filtration.at(p):
-            cond_a = False
+    cond_a = all(
+        preimage(inj, target.hodge_filtration.at(p)) == source.hodge_filtration.at(p)
+        for p in sorted(set(source.hodge_filtration.jumps()) | set(target.hodge_filtration.jumps()))
+    )
     mf = shift(weight_monodromy(target.operators[0]), target.weight)
     rel = relative_monodromy(target.operators[0], trivial_weight_filtration(target.dim, target.weight))
     if rel is None or rel.filtration != mf:
         raise AssertionError("relative and shifted absolute filtrations disagree on pure data")
-    cond_b = True
-    for k in sorted(set(source.weight_filtration.jumps()) | set(mf.jumps())):
-        if preimage(inj, mf.at(k)) != source.weight_filtration.at(k):
-            cond_b = False
+    cond_b = all(
+        preimage(inj, mf.at(k)) == source.weight_filtration.at(k)
+        for k in sorted(set(source.weight_filtration.jumps()) | set(mf.jumps()))
+    )
     verdict = check_pure_orbit(target, policy)
     return EmbeddingCertificate(
         source, target, inj, cond_a, cond_b, cond_i, cond_ii, inter, kills, verdict, shear
+    )
+
+
+def certify_surjection(
+    source: OrbitDatum,
+    target: HodgeDatum,
+    surjection: Matrix,
+    policy: Policy | None = None,
+) -> SurjectionCertificate:
+    """Re-derive every certificate clause from scratch; the mirror of
+    :func:`certify_embedding`."""
+    policy = policy or Policy()
+    surj = surjection
+    surjective = echelonize(surj).rows == target.dim
+    inter = len(source.operators) == len(target.operators) + 1
+    if inter:
+        for ns, nt in zip(source.operators[1:], target.operators):
+            if surj @ ns != nt @ surj:
+                inter = False
+    cond_a = all(
+        image_of_subspace(surj, source.hodge_filtration.at(p)) == target.hodge_filtration.at(p)
+        for p in sorted(set(target.hodge_filtration.jumps()) | set(source.hodge_filtration.jumps()))
+    )
+    dies = cond_b = False  # without a designated operator neither can hold
+    if source.operators:
+        dies = (surj @ source.operators[0]).is_zero()
+        mf = shift(weight_monodromy(source.operators[0]), source.weight)
+        cond_b = all(
+            image_of_subspace(surj, mf.at(k)) == target.weight_filtration.at(k)
+            for k in sorted(set(target.weight_filtration.jumps()) | set(mf.jumps()))
+        )
+    verdict = check_pure_orbit(source, policy)
+    return SurjectionCertificate(
+        source, target, surj, cond_a, cond_b, surjective, source.pairing.is_perfect(), inter, dies, verdict
     )
 
 
@@ -502,31 +537,8 @@ def embed_two_weights(h: HodgeDatum, top_weight=None, policy: Policy | None = No
                 unit_map_rows.append([ONE if (i == i2 and s == t) else ZERO for s in range(n)])
     unit_map = Matrix.from_rows(unit_map_rows, n)
     inj = stage @ unit_map
-    # Reparametrize the log coordinate (q -> q f): each ambient operator is
-    # sheared by a multiple of the new one.  Without ambient operators no
-    # shear is needed; otherwise take the first policy value whose orbit
-    # survives sampling (probe points first, then the full grid), and
-    # compute the certificate once for it.
-    candidates = [0] if not h.operators else [0] + [int(a) for a in policy.shears]
-
-    def orbit_for(a):
-        sheared = tuple(op + new_op.scale(Fraction(a)) for op in big.operators)
-        return OrbitDatum(
-            w, orbit_pairing, (new_op,) + sheared, big.hodge_filtration, big.twist_tag
-        )
-
-    from .verify import sampled_orbit_membership
-
-    for a in candidates:
-        orbit = orbit_for(a)
-        if len(candidates) > 1 and not sampled_orbit_membership(
-            orbit, y_grid=_probe_points(policy, len(orbit.operators))
-        ).all_pass:
-            continue
-        cert = certify_embedding(h, orbit, inj, policy, shear=a)
-        if cert.orbit_verdict.passed:
-            return cert
-    return certify_embedding(h, orbit_for(candidates[0]), inj, policy, shear=candidates[0])
+    orbit = OrbitDatum(w, orbit_pairing, (new_op,) + big.operators, big.hodge_filtration, big.twist_tag)
+    return _certify_with_shears(h, orbit, inj, policy)
 
 
 def _probe_points(policy: Policy, n_ops: int):
@@ -577,20 +589,17 @@ def _embed_window(h: HodgeDatum, window_top: int, policy: Policy, final: bool) -
     low_cert = _embed_window(h_low, w - 1, quick, final=False)
     if not low_cert.verified:
         raise ValueError(f"recursive embedding failed below weight {w}")
-    j_datum, map_h, map_i = _glue_extension(h, w, h_low, incl_low, low_cert)
+    j_datum, map_h = _glue_extension(h, w, incl_low, low_cert)
     # The base reparametrization compounds down the tower: each ambient
     # operator of the glued datum may need a multiple of the lower-stage
     # log operator before the next stage is run.
-    candidates = [0] if len(j_datum.operators) <= 1 else [0] + [int(a) for a in policy.shears]
     best = None
     failure = None
-    for c in candidates:
-        n0 = j_datum.operators[0]
-        ops = [n0] + [op + n0.scale(Fraction(c)) for op in j_datum.operators[1:]]
+    for c in _shear_candidates(policy, len(j_datum.operators)):
         j_c = make_datum(
             j_datum.weight_filtration,
             j_datum.hodge_filtration,
-            ops,
+            shear_operators(j_datum.operators, c),
             dict(j_datum.graded_pairings),
             j_datum.twist_tag,
         )
@@ -610,59 +619,47 @@ def _embed_window(h: HodgeDatum, window_top: int, policy: Policy, final: bool) -
     return best
 
 
+def _shear_candidates(policy: Policy, n_ops: int) -> list:
+    """Shear 0 first, then the policy values; a single operator has nothing
+    to shear."""
+    return [0] if n_ops <= 1 else [0] + [int(a) for a in policy.shears]
+
+
 def _certify_with_shears(h: HodgeDatum, orbit: OrbitDatum, inj: Matrix, policy: Policy) -> EmbeddingCertificate:
-    """Certify, allowing the ambient operators to be sheared by multiples of
-    the new operator (the base-change freedom of the log coordinate).
+    """Certify, allowing the ambient operators of ``orbit`` to be sheared by
+    multiples of its first, new operator (the base-change freedom of the log
+    coordinate, q -> q f).  The first verified candidate wins.
 
-    Failing candidates are rejected by sampling alone; the full certificate
-    (whose embedding conditions do not depend on the shear) is computed only
-    for the accepted candidate, or once for diagnosis when all fail.
+    Candidates are screened on the probe points first; the full certificate
+    is computed only for those that pass.  When none is verified the
+    certificate of the unsheared orbit is returned for diagnosis.
     """
-    from .verify import sampled_orbit_membership
-
-    candidates = [0] if len(orbit.operators) <= 1 else [0] + [int(a) for a in policy.shears]
-    n0 = orbit.operators[0]
-
-    def sheared_orbit(a):
-        ops = (n0,) + tuple(op + n0.scale(Fraction(a)) for op in orbit.operators[1:])
-        return OrbitDatum(orbit.weight, orbit.pairing, ops, orbit.hodge_filtration, orbit.twist_tag)
-
+    candidates = _shear_candidates(policy, len(orbit.operators))
+    probe = _probe_points(policy, len(orbit.operators))
+    unsheared = None
     for a in candidates:
-        sheared = sheared_orbit(a)
-        if len(candidates) > 1 and not sampled_orbit_membership(
-            sheared, y_grid=_probe_points(policy, len(sheared.operators))
-        ).all_pass:
+        sheared = replace(orbit, operators=shear_operators(orbit.operators, a)) if a else orbit
+        if len(candidates) > 1 and not sampled_orbit_membership(sheared, y_grid=probe).all_pass:
             continue
         cert = certify_embedding(h, sheared, inj, policy, shear=a)
         if cert.verified:
             return cert
-    return certify_embedding(h, sheared_orbit(candidates[0]), inj, policy, shear=candidates[0])
+        if not a:
+            unsheared = cert
+    return unsheared if unsheared is not None else certify_embedding(h, orbit, inj, policy)
 
 
-def _glue_extension(h: HodgeDatum, w: int, h_low: HodgeDatum, incl_low: Matrix, low_cert: EmbeddingCertificate):
+def _glue_extension(h: HodgeDatum, w: int, incl_low: Matrix, low_cert: EmbeddingCertificate):
     """The two-weight datum J with gr_w = gr_w(h) and gr_{w-1} the pure
     orbit target of the lower embedding, glued along W_{w-1} h."""
     i_orbit = low_cert.target
     iota = low_cert.injection
-    nh, ni, nl = h.dim, i_orbit.dim, h_low.dim
-    rel_vecs = []
-    for col in range(nl):
-        e = [ZERO] * nl
-        e[col] = ONE
-        rel_vecs.append(tuple(incl_low.apply(e)) + tuple((-iota).apply(e)))
-    rel = Subspace.from_vectors(nh + ni, rel_vecs)
-    from .linalg import quotient_projection, quotient_section
-
+    nh, ni = h.dim, i_orbit.dim
+    rel = image(incl_low.stack(-iota))
     proj = quotient_projection(rel)
     sec = quotient_section(rel)
-    emb_h = Matrix.from_rows(
-        [[ONE if c == r else ZERO for c in range(nh)] for r in range(nh)] + [[ZERO] * nh] * ni, nh
-    )
-    emb_i = Matrix.from_rows(
-        [[ZERO] * ni] * nh + [[ONE if c == r else ZERO for c in range(ni)] for r in range(ni)], ni
-    )
-    map_h = proj @ emb_h
-    map_i = proj @ emb_i
+    map_h = proj @ Matrix.block_diag(Matrix.identity(nh), Matrix.zeros(ni, 0))
+    map_i = proj @ Matrix.block_diag(Matrix.zeros(nh, 0), Matrix.identity(ni))
     nj = proj.rows
     w_pairs = [
         (w - 1, image_of_subspace(map_i, Subspace.full(ni))),
@@ -682,7 +679,7 @@ def _glue_extension(h: HodgeDatum, w: int, h_low: HodgeDatum, incl_low: Matrix, 
     for jdx in range(len(h.operators)):
         pieces.append((h.operators[jdx], i_orbit.operators[jdx + 1]))
     for op_h, op_i in pieces:
-        big = _block(op_h, op_i)
+        big = Matrix.block_diag(op_h, op_i)
         moved = image_of_subspace(big, rel)
         if not rel.contains_subspace(moved):
             raise AssertionError("glue operator does not descend")
@@ -700,16 +697,7 @@ def _glue_extension(h: HodgeDatum, w: int, h_low: HodgeDatum, incl_low: Matrix, 
         (-1) ** ((w - 1) % 2),
     )
     j_datum = make_datum(wf, ff, ops, pairings, h.twist_tag)
-    return j_datum, map_h, map_i
-
-
-def _block(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for row in a.entries:
-        rows.append(list(row) + [ZERO] * b.cols)
-    for row in b.entries:
-        rows.append([ZERO] * a.cols + list(row))
-    return Matrix.from_rows(rows, a.cols + b.cols)
+    return j_datum, map_h
 
 
 # ---------------------------------------------------------------------------
@@ -736,30 +724,7 @@ def surject_from_pure(h: HodgeDatum, policy: Policy | None = None) -> Surjection
     cert = embed_general(dual(h), policy)
     if not cert.verified:
         raise ValueError("embedding of the dual failed")
-    source = orbit_dual(cert.target)
-    surj = cert.injection.transpose()
-    surjective = echelonize(surj).rows == h.dim
-    inter = True
-    for ns, nh_op in zip(source.operators[1:], h.operators):
-        if surj @ ns != nh_op @ surj:
-            inter = False
-    dies = (surj @ source.operators[0]).is_zero()
-    cond_a = True
-    for p in sorted(set(h.hodge_filtration.jumps()) | set(source.hodge_filtration.jumps())):
-        img = image_of_subspace(surj, source.hodge_filtration.at(p))
-        if img != h.hodge_filtration.at(p):
-            cond_a = False
-    mf = shift(weight_monodromy(source.operators[0]), source.weight)
-    cond_b = True
-    for k in sorted(set(h.weight_filtration.jumps()) | set(mf.jumps())):
-        img = image_of_subspace(surj, mf.at(k))
-        if img != h.weight_filtration.at(k):
-            cond_b = False
-    cond_ii = source.pairing.is_perfect()
-    verdict = check_pure_orbit(source, policy)
-    return SurjectionCertificate(
-        source, h, surj, cond_a, cond_b, surjective, cond_ii, inter, dies, verdict
-    )
+    return certify_surjection(orbit_dual(cert.target), h, cert.injection.transpose(), policy)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ so by explicit base change, so equality of canonical forms is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import (
     Matrix,
     Subspace,
     echelonize,
+    graded_coordinates,
+    image,
     image_of_subspace,
     intersect,
     kernel,
@@ -111,13 +114,8 @@ class GradedMaps:
 
 
 def graded_maps(weight_filtration: Filtration, w: int) -> GradedMaps:
-    ww = weight_filtration.at(w)
-    wlow = weight_filtration.at(w - 1)
-    proj_low = quotient_projection(wlow)
-    gr_sub = image_of_subspace(proj_low, ww)
-    project = proj_low.select_rows(gr_sub.pivots())
-    section = quotient_section(wlow) @ gr_sub.basis.transpose()
-    return GradedMaps(w, gr_sub.dim, project, section)
+    project, section = graded_coordinates(weight_filtration.at(w), weight_filtration.at(w - 1))
+    return GradedMaps(w, project.rows, project, section)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +311,9 @@ class PairedDatum:
                 if a + b > w and fa.dim and fb.dim:
                     if not (fa.basis @ s.matrix @ fb.basis.transpose()).is_zero():
                         raise ValueError("pairing does not respect the Hodge filtration")
-        # N F^p inside F^{p-1}: N is a morphism into the (-1)-twist.  The
-        # distinct instances sit at the jumps and one degree above them.
-        for p in range(h.hodge_filtration.min_index(), h.hodge_filtration.max_index() + 2):
-            img = image_of_subspace(nn, h.hodge_filtration.at(p))
-            if not h.hodge_filtration.at(p - 1).contains_subspace(img):
-                raise ValueError("log operator violates Griffiths transversality")
+        # N F^p inside F^{p-1}: N is a morphism into the (-1)-twist.
+        if not h.hodge_filtration.is_transverse(nn):
+            raise ValueError("log operator violates Griffiths transversality")
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +401,8 @@ def tate_twist(h: HodgeDatum, r: int) -> HodgeDatum:
     return make_datum(wf, ff, h.operators, pairings, h.twist_tag + r)
 
 
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for row in a.entries:
-        rows.append(list(row) + [ZERO] * b.cols)
-    for row in b.entries:
-        rows.append([ZERO] * a.cols + list(row))
-    return Matrix.from_rows(rows, a.cols + b.cols)
-
-
 def _direct_sum_subspace(s: Subspace, t: Subspace) -> Subspace:
-    vecs = [tuple(row) + (ZERO,) * t.ambient for row in s.basis.entries]
-    vecs += [(ZERO,) * s.ambient + tuple(row) for row in t.basis.entries]
-    return Subspace.from_vectors(s.ambient + t.ambient, vecs)
+    return Subspace.from_vectors(s.ambient + t.ambient, Matrix.block_diag(s.basis, t.basis).entries)
 
 
 def tensor(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
@@ -477,9 +461,7 @@ def tensor(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
         phi = Matrix.from_rows(list(zip(*cols)), len(cols))
         if phi.rows != gm.dim or len(cols) != gm.dim:
             continue  # graded piece not exhausted by paired blocks
-        src = blocks[0]
-        for blk in blocks[1:]:
-            src = _block_diag(src, blk)
+        src = Matrix.block_diag(*blocks)
         phi_inv = matrix_inverse(phi)
         pairings[w] = Pairing(phi_inv.transpose() @ src @ phi_inv, -w, (-1) ** (w % 2))
     return make_datum(wf, ff, ops, pairings, a.twist_tag + b.twist_tag)
@@ -499,7 +481,7 @@ def direct_sum(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
     ff = Filtration.make(
         n, False, [(p, _direct_sum_subspace(a.hodge_filtration.at(p), b.hodge_filtration.at(p))) for p in ps]
     )
-    ops = tuple(_block_diag(na, nb) for na, nb in zip(a.operators, b.operators))
+    ops = tuple(Matrix.block_diag(na, nb) for na, nb in zip(a.operators, b.operators))
     pairings = {}
     for w in wf.jumps():
         gm = graded_maps(wf, w)
@@ -509,22 +491,13 @@ def direct_sum(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
             continue
         if gb.dim and pb is None:
             continue
-        cols = []
-        for alpha in range(ga.dim):
-            vec = tuple(ga.section.col(alpha)) + (ZERO,) * b.dim
-            cols.append(gm.project.apply(vec))
-        for beta in range(gb.dim):
-            vec = (ZERO,) * a.dim + tuple(gb.section.col(beta))
-            cols.append(gm.project.apply(vec))
-        if len(cols) != gm.dim:
+        if ga.dim + gb.dim != gm.dim:
             continue
-        phi = Matrix.from_rows(list(zip(*cols)), len(cols))
+        phi = gm.project @ Matrix.block_diag(ga.section, gb.section)
         blocks = [p.matrix for p in (pa, pb) if p is not None and p.matrix.rows]
         if not blocks:
             continue
-        src = blocks[0]
-        for blk in blocks[1:]:
-            src = _block_diag(src, blk)
+        src = Matrix.block_diag(*blocks)
         phi_inv = matrix_inverse(phi)
         pairings[w] = Pairing(phi_inv.transpose() @ src @ phi_inv, -w, (-1) ** (w % 2))
     return make_datum(wf, ff, ops, pairings, a.twist_tag)
@@ -632,19 +605,11 @@ def pushout(f: Matrix, g: Matrix, a: HodgeDatum, b: HodgeDatum, c: HodgeDatum):
             raise ValueError(f"pushout leg {name} is not a strict morphism: {defects}")
     if b.twist_tag != c.twist_tag:
         raise ValueError("pushout legs have different twist tags")
-    n = b.dim + c.dim
-    rel_vecs = []
-    for col in range(a.dim):
-        e = [ZERO] * a.dim
-        e[col] = ONE
-        rel_vecs.append(tuple(f.apply(e)) + tuple((-g).apply(e)))
-    rel = Subspace.from_vectors(n, rel_vecs)
+    rel = image(f.stack(-g))
     proj = quotient_projection(rel)
     sec = quotient_section(rel)
-    emb_b = Matrix.from_rows([list(row) + [ZERO] * c.dim for row in Matrix.identity(b.dim).entries], n).transpose()
-    emb_c = Matrix.from_rows([[ZERO] * b.dim + list(row) for row in Matrix.identity(c.dim).entries], n).transpose()
-    map_b = proj @ emb_b
-    map_c = proj @ emb_c
+    map_b = proj @ Matrix.block_diag(Matrix.identity(b.dim), Matrix.zeros(c.dim, 0))
+    map_c = proj @ Matrix.block_diag(Matrix.zeros(b.dim, 0), Matrix.identity(c.dim))
     ks = sorted(set(b.weight_filtration.jumps()) | set(c.weight_filtration.jumps()))
     wf = Filtration.make(
         proj.rows,
@@ -665,13 +630,20 @@ def pushout(f: Matrix, g: Matrix, a: HodgeDatum, b: HodgeDatum, c: HodgeDatum):
     )
     ops = []
     for nb, nc in zip(b.operators, c.operators):
-        big = _block_diag(nb, nc)
+        big = Matrix.block_diag(nb, nc)
         moved = image_of_subspace(big, rel)
         if not rel.contains_subspace(moved):
             raise ValueError("operators do not descend to the pushout")
         ops.append(proj @ big @ sec)
     out = make_datum(wf, ff, ops, {}, b.twist_tag)
     return out, map_b, map_c
+
+
+def shear_operators(operators, a) -> tuple:
+    """Shear (N_0, N_1, ...) by a: (N_0, N_1 + a N_0, ...), the change of
+    the log coordinate that mixes the first direction into the others."""
+    n0 = operators[0]
+    return (n0,) + tuple(op + n0.scale(Fraction(a)) for op in operators[1:])
 
 
 def sum_operators(h, i: int, j: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .construct import EmbeddingCertificate, SurjectionCertificate
 from .datum import HodgeDatum, OrbitDatum, PairedDatum, Pairing, make_datum
 from .filtration import Filtration
 from .linalg import Matrix, Subspace
@@ -142,11 +143,12 @@ def parse(text: str):
     if doc.get("format_version") != FORMAT_DATUM:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
-    if kind == "orbit":
-        return _parse_orbit(doc)
-    if kind == "mixed":
-        return _parse_mixed(doc)
-    raise ParseError(f"unknown kind {kind!r}")
+    if kind not in ("orbit", "mixed"):
+        raise ParseError(f"unknown kind {kind!r}")
+    try:
+        return _parse_orbit(doc) if kind == "orbit" else _parse_mixed(doc)
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}")
 
 
 def _parse_orbit(doc) -> OrbitDatum:
@@ -161,8 +163,6 @@ def _parse_orbit(doc) -> OrbitDatum:
         return OrbitDatum(int(doc["weight"]), pairing, ops, ff, int(doc.get("twist_tag", 0)))
     except ValueError as exc:
         raise ValidationError(str(exc))
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc}")
 
 
 def _parse_mixed(doc):
@@ -199,63 +199,64 @@ def _parse_mixed(doc):
 
 
 def serialize_certificate(cert) -> str:
-    from .construct import EmbeddingCertificate, SurjectionCertificate
-
     if isinstance(cert, EmbeddingCertificate):
-        doc = {
-            "format_version": FORMAT_CERTIFICATE,
-            "kind": "embedding",
-            "source": json.loads(serialize(cert.source)),
-            "target": json.loads(serialize(cert.target)),
-            "map": _matrix_out(cert.injection),
-            "shear": cert.shear,
-            "conditions": {
-                "a": cert.condition_a,
-                "b": cert.condition_b,
-                "i": cert.condition_i,
-                "ii": cert.condition_ii,
-                "intertwines": cert.intertwines,
-                "new_operator_kills_image": cert.new_operator_kills_image,
-            },
-            "orbit_status": cert.orbit_verdict.status,
-        }
+        doc = {"kind": "embedding", "map": _matrix_out(cert.injection), "shear": cert.shear}
+        verdict = cert.orbit_verdict
     elif isinstance(cert, SurjectionCertificate):
-        doc = {
-            "format_version": FORMAT_CERTIFICATE,
-            "kind": "surjection",
-            "source": json.loads(serialize(cert.source)),
-            "target": json.loads(serialize(cert.target)),
-            "map": _matrix_out(cert.surjection),
-            "conditions": {
-                "a": cert.condition_a,
-                "b": cert.condition_b,
-                "i": cert.condition_i,
-                "ii": cert.condition_ii,
-                "intertwines": cert.intertwines,
-                "new_operator_dies": cert.new_operator_dies,
-            },
-            "orbit_status": cert.source_verdict.status,
-        }
+        doc = {"kind": "surjection", "map": _matrix_out(cert.surjection)}
+        verdict = cert.source_verdict
     else:
         raise TypeError(f"cannot serialize {type(cert).__name__}")
+    doc.update(
+        format_version=FORMAT_CERTIFICATE,
+        source=json.loads(serialize(cert.source)),
+        target=json.loads(serialize(cert.target)),
+        conditions=cert.conditions,
+        orbit_status=verdict.status,
+    )
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# The mixed and the orbit side of each certificate kind, as (source, target).
+_CERTIFICATE_SIDES = {"embedding": (HodgeDatum, OrbitDatum), "surjection": (OrbitDatum, HodgeDatum)}
 
 
 def parse_certificate(text: str):
     """Parse a certificate document into its raw pieces (kind, source,
-    target, map, claimed conditions)."""
+    target, map, claimed conditions).
+
+    Malformed syntax raises ParseError; a document whose pieces cannot form
+    a certificate of its kind (wrong data kinds, operator counts or map
+    shape, a non-integer shear) raises ValidationError naming the reason.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise ValidationError("certificate must be a JSON object")
     if doc.get("format_version") != FORMAT_CERTIFICATE:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
-    if kind not in ("embedding", "surjection"):
+    if kind not in _CERTIFICATE_SIDES:
         raise ParseError(f"unknown certificate kind {kind!r}")
+    for key in ("source", "target", "map"):
+        if key not in doc:
+            raise ValidationError(f"certificate is missing {key!r}")
     source = parse(json.dumps(doc["source"]))
     target = parse(json.dumps(doc["target"]))
     mp = _matrix_in(doc["map"])
+    source_kind, target_kind = _CERTIFICATE_SIDES[kind]
+    if not isinstance(source, source_kind) or not isinstance(target, target_kind):
+        raise ValidationError(f"{kind} certificate has wrong data kinds")
+    orbit, mixed = (target, source) if kind == "embedding" else (source, target)
+    if len(orbit.operators) != len(mixed.operators) + 1:
+        raise ValidationError(f"{kind} certificate: the orbit side needs exactly one operator more than the mixed side")
+    if mp.shape != (target.dim, source.dim):
+        raise ValidationError(f"{kind} certificate: map of shape {mp.shape} does not send {source.dim} to {target.dim}")
+    shear = doc.get("shear", 0)
+    if isinstance(shear, bool) or not isinstance(shear, int):
+        raise ValidationError(f"{kind} certificate: shear must be an integer, not {shear!r}")
     return {
         "kind": kind,
         "source": source,
@@ -263,5 +264,5 @@ def parse_certificate(text: str):
         "map": mp,
         "conditions": doc.get("conditions", {}),
         "orbit_status": doc.get("orbit_status"),
-        "shear": doc.get("shear", 0),
+        "shear": shear,
     }

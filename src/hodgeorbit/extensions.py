@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .datum import HodgeDatum, Pairing, make_datum, sub_truncate
 from .filtration import Filtration
-from .linalg import Matrix, Subspace, solve
+from .linalg import Matrix, Subspace, echelonize, solve
 from .scalars import GaussScalar, ONE, ZERO
 
 
@@ -152,8 +152,6 @@ def lift_class(c: ExtensionClass, surj: Matrix, source: HodgeDatum, target: Hodg
     """
     if max(source.weights(), default=-1) > -1:
         raise ValueError("lift target must have weights at most -1")
-    from .linalg import echelonize
-
     if echelonize(surj).rows != target.dim:
         raise ValueError("map is not surjective on complexifications")
     pre = solve(surj, c.representative)

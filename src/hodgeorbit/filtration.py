@@ -90,6 +90,15 @@ class Filtration:
         pairs = [(k, image_of_subspace(m, s)) for k, s in self.steps]
         return Filtration.make(m.rows, self.increasing, pairs)
 
+    def is_transverse(self, op: Matrix) -> bool:
+        """Griffiths transversality op F^p within F^{p-1}, for a decreasing
+        filtration.  The distinct instances sit at the jumps and one degree
+        above them, where the right side shrinks."""
+        return all(
+            self.at(p - 1).contains_subspace(image_of_subspace(op, self.at(p)))
+            for p in range(self.min_index(), self.max_index() + 2)
+        )
+
     def is_rational(self) -> bool:
         return all(s.is_rational() for _, s in self.steps)
 

@@ -197,6 +197,19 @@ class Matrix:
                 out.append(tuple(a * b for a in arow for b in brow))
         return Matrix(tuple(out), self.cols * other.cols, _raw=True)
 
+    @staticmethod
+    def block_diag(*blocks: "Matrix") -> "Matrix":
+        """The block-diagonal sum: block i sits at the rows and columns after
+        those of blocks 0..i-1, every other entry is zero."""
+        cols = sum(b.cols for b in blocks)
+        out = []
+        before = 0
+        for b in blocks:
+            left, right = (ZERO,) * before, (ZERO,) * (cols - before - b.cols)
+            out.extend(left + row + right for row in b.entries)
+            before += b.cols
+        return Matrix(tuple(out), cols, _raw=True)
+
     def det(self) -> GaussScalar:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
@@ -222,23 +235,23 @@ class Matrix:
     def is_nilpotent(self) -> bool:
         if self.rows != self.cols:
             return False
-        p = self
-        for _ in range(self.rows):
-            if p.is_zero():
-                return True
-            p = p @ self
-        return p.is_zero()
+        try:
+            self.nilpotency_degree()
+        except ValueError:
+            return False
+        return True
 
     def nilpotency_degree(self) -> int:
-        """Least d with self**d = 0; raises for non-nilpotent input."""
-        p = Matrix.identity(self.rows)
-        for d in range(self.rows + 1):
-            if p.is_zero():
-                return d
-            p = p @ self
-        if p.is_zero():
-            return self.rows + 1
-        raise ValueError("matrix is not nilpotent")
+        """Least d with self**d = 0; raises for non-nilpotent input.  An n x n
+        matrix is nilpotent iff its n-th power vanishes."""
+        if self.rows == 0:
+            return 0
+        p, d = self, 1
+        while not p.is_zero():
+            if d >= self.rows:
+                raise ValueError("matrix is not nilpotent")
+            p, d = p @ self, d + 1
+        return d
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -470,6 +483,15 @@ def image_of_subspace(m: Matrix, s: Subspace) -> Subspace:
     if s.is_full():
         return image(m)
     return _span(m.rows, [m.apply(row) for row in s.basis.entries])
+
+
+def graded_coordinates(top: Subspace, low: Subspace):
+    """Canonical coordinates on top / low, for low inside top: returns
+    ``(project, section)``, where ``project`` is valid on top and kills low,
+    and ``section`` maps coordinates to canonical representatives in top."""
+    proj_low = quotient_projection(low)
+    gr = image_of_subspace(proj_low, top)
+    return proj_low.select_rows(gr.pivots()), quotient_section(low) @ gr.basis.transpose()
 
 
 def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:

@@ -17,16 +17,20 @@ axioms regardless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .filtration import Filtration
 from .linalg import (
     Matrix,
     Subspace,
+    graded_coordinates,
     image_of_subspace,
     intersect,
     kernel,
+    preimage,
     quotient_projection,
     quotient_section,
+    solve,
     subspace_sum,
 )
 from .scalars import ONE, ZERO
@@ -42,22 +46,16 @@ class MonodromyFiltration:
 # Axiom checks
 
 
-def _induced_map_on_graded(n: Matrix, filt: Filtration, k_from: int, k_to: int, power: int):
-    """The map N^power : gr_k_from -> gr_k_to of filt, as a matrix, or None
-    if N^power does not send the filtration step correctly."""
+def _induced_map_on_graded(m: Matrix, filt: Filtration, k_from: int, k_to: int):
+    """The map m : gr_k_from -> gr_k_to of filt, as a matrix, or None if m
+    does not send the filtration step correctly."""
     top_from = filt.at(k_from)
-    low_from = filt.at(k_from - 1)
     top_to = filt.at(k_to)
-    low_to = filt.at(k_to - 1)
-    np = n.power(power)
-    if not top_to.contains_subspace(image_of_subspace(np, top_from)):
+    if not top_to.contains_subspace(image_of_subspace(m, top_from)):
         return None
-    proj_to = quotient_projection(low_to)
-    gr_to = image_of_subspace(proj_to, top_to)
-    proj_low_from = quotient_projection(low_from)
-    gr_from = image_of_subspace(proj_low_from, top_from)
-    sec_from = quotient_section(low_from) @ gr_from.basis.transpose()
-    return proj_to.select_rows(gr_to.pivots()) @ np @ sec_from
+    project, _ = graded_coordinates(top_to, filt.at(k_to - 1))
+    _, section = graded_coordinates(top_from, filt.at(k_from - 1))
+    return project @ m @ section
 
 
 def satisfies_monodromy_axioms(n: Matrix, filt: Filtration, center: int = 0) -> bool:
@@ -68,14 +66,16 @@ def satisfies_monodromy_axioms(n: Matrix, filt: Filtration, center: int = 0) -> 
             return False
     lo, hi = filt.min_index(), filt.max_index()
     span = max(hi - center, center - lo, 0)
+    power = Matrix.identity(n.rows)
     for j in range(1, span + 1):
+        power = power @ n  # N^j
         g_hi = filt.graded_dim(center + j)
         g_lo = filt.graded_dim(center - j)
         if g_hi != g_lo:
             return False
         if g_hi == 0:
             continue
-        m = _induced_map_on_graded(n, filt, center + j, center - j, j)
+        m = _induced_map_on_graded(power, filt, center + j, center - j)
         if m is None or m.rows != m.cols or m.det().is_zero():
             return False
     # Graded dimensions outside the symmetric range must vanish.
@@ -93,14 +93,10 @@ def satisfies_relative_axioms(n: Matrix, w: Filtration, m: Filtration) -> bool:
             return False
     for wt in w.jumps():
         ww = w.at(wt)
-        wlow = w.at(wt - 1)
-        proj = quotient_projection(wlow)
-        gr = image_of_subspace(proj, ww)
-        g = gr.dim
+        to_gr, sec = graded_coordinates(ww, w.at(wt - 1))
+        g = to_gr.rows
         if g == 0:
             continue
-        to_gr = proj.select_rows(gr.pivots())
-        sec = quotient_section(wlow) @ gr.basis.transpose()
         n_gr = to_gr @ n @ sec
         pairs = []
         for k in range(m.min_index() - 1, m.max_index() + 1):
@@ -124,18 +120,17 @@ def _weight_monodromy_raw(n: Matrix) -> list:
     dim = n.rows
     if dim == 0:
         return []
-    d = n.nilpotency_degree()
-    if d <= 1:
+    if n.is_zero():
         return [(0, Subspace.full(dim))]
-    k = d - 1  # highest index with N^k != 0
-    nk = n.power(k)
+    k, nk = 1, n  # the highest nonzero power N^k
+    while not (nxt := nk @ n).is_zero():
+        if k == dim:
+            raise ValueError("matrix is not nilpotent")
+        k, nk = k + 1, nxt
     ker_top = kernel(nk)
     im_bot = image_of_subspace(nk, Subspace.full(dim))
     # Recurse on ker N^k / im N^k with the induced operator.
-    proj = quotient_projection(im_bot)
-    sub = image_of_subspace(proj, ker_top)
-    to_q = proj.select_rows(sub.pivots())
-    sec = quotient_section(im_bot) @ sub.basis.transpose()
+    to_q, sec = graded_coordinates(ker_top, im_bot)
     n_q = to_q @ n @ sec
     inner = _weight_monodromy_raw(n_q)
     pairs = [(k, Subspace.full(dim)), (k - 1, ker_top), (-k, im_bot)]
@@ -149,8 +144,6 @@ def _weight_monodromy_raw(n: Matrix) -> list:
 
 def preimage_in(domain: Subspace, mp: Matrix, target: Subspace) -> Subspace:
     """{v in domain : mp v in target}."""
-    from .linalg import preimage
-
     return intersect(domain, preimage(mp, target))
 
 
@@ -240,8 +233,6 @@ def _relative_pairs(n: Matrix, w: Filtration):
                 rows.append(coeff_rows[t])
                 rhs.append(-const[t])
     if rows:
-        from .linalg import solve
-
         sol = solve(Matrix.from_rows(rows, unknowns), rhs)
         if sol is None:
             return None
@@ -323,8 +314,6 @@ def admissibility_report(w: Filtration, operators, samples=((1,), (2, 3))) -> Ad
         if ref is None:
             cone_ok = False
         else:
-            from fractions import Fraction
-
             for sample in samples:
                 coeffs = list(sample) * ((len(ops) + len(sample) - 1) // len(sample))
                 total = Matrix.zeros(w.ambient_dim, w.ambient_dim)

@@ -22,6 +22,7 @@ from .datum import (
     graded_piece,
     make_datum,
     matrix_inverse,
+    shear_operators,
 )
 from .filtration import Filtration
 from .linalg import (
@@ -40,7 +41,7 @@ from .monodromy import (
     shift,
     weight_monodromy,
 )
-from .scalars import GaussScalar, ZERO, imaginary
+from .scalars import GaussScalar, imaginary
 
 CERTIFIED = "CERTIFIED"
 SUPPORTED = "SUPPORTED"
@@ -239,14 +240,6 @@ def _mirrored_degrees(f: Filtration, w: int):
     return range(min(lo, w + 1 - hi) - 1, max(hi, w + 1 - lo) + 2)
 
 
-def _transversality_degrees(f: Filtration):
-    """Indices where N F^p in F^{p-1} is a distinct condition: the jumps and
-    the degrees just above them (where the right side shrinks)."""
-    if not f.steps:
-        return ()
-    return range(f.min_index(), f.max_index() + 2)
-
-
 def griffiths_isotropy_checks(weight: int, pairing: Pairing, operators, f: Filtration) -> StructureReport:
     """Pointwise Griffiths transversality, infinitesimal isotropy, and the
     self-annihilation of F under the pairing.
@@ -256,17 +249,8 @@ def griffiths_isotropy_checks(weight: int, pairing: Pairing, operators, f: Filtr
     """
     n = f.ambient_dim
     s = pairing.matrix
-    trans = []
-    iso = []
-    for op in operators:
-        ok = True
-        for p in _transversality_degrees(f):
-            img = image_of_subspace(op, f.at(p))
-            if not f.at(p - 1).contains_subspace(img):
-                ok = False
-                break
-        trans.append(ok)
-        iso.append((op.transpose() @ s + s @ op).is_zero())
+    trans = tuple(f.is_transverse(op) for op in operators)
+    iso = tuple((op.transpose() @ s + s @ op).is_zero() for op in operators)
     ann_ok = True
     for p in _mirrored_degrees(f, weight):
         fp = f.at(p)
@@ -274,7 +258,7 @@ def griffiths_isotropy_checks(weight: int, pairing: Pairing, operators, f: Filtr
         if ann != f.at(weight + 1 - p):
             ann_ok = False
             break
-    return StructureReport(tuple(trans), tuple(iso), ann_ok)
+    return StructureReport(trans, iso, ann_ok)
 
 
 def structure_report(o: OrbitDatum) -> StructureReport:
@@ -380,21 +364,10 @@ def lefschetz_graded_pairings(o: OrbitDatum):
         if len(cols) != gm.dim:
             raise ValueError(f"Lefschetz components do not exhaust gr at weight {k}")
         phi = Matrix.from_rows(list(zip(*cols)), len(cols))
-        src = blocks[0]
-        for blk in blocks[1:]:
-            src = _block_diag_local(src, blk)
+        src = Matrix.block_diag(*blocks)
         phi_inv = matrix_inverse(phi)
         pairings[k] = Pairing(phi_inv.transpose() @ src @ phi_inv, -k, (-1) ** (k % 2))
     return pairings
-
-
-def _block_diag_local(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for row in a.entries:
-        rows.append(list(row) + [ZERO] * b.cols)
-    for row in b.entries:
-        rows.append([ZERO] * a.cols + list(row))
-    return Matrix.from_rows(rows, a.cols + b.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +466,7 @@ def _cone_monodromy_constant(operators, policy: Policy) -> bool:
     return True
 
 
-def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None, use_surjection_route: bool = False) -> Verdict:
+def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None) -> Verdict:
     """Admissibility, polarizable graded pieces, sampled mixed membership.
 
     With zero operators the clauses collapse to the exact mixed-Hodge checks
@@ -501,12 +474,7 @@ def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None, use_surjectio
     """
     policy = policy or Policy()
     evidence = []
-    trans_ok = True
-    for j, op in enumerate(h.operators):
-        for p in _transversality_degrees(h.hodge_filtration):
-            img = image_of_subspace(op, h.hodge_filtration.at(p))
-            if not h.hodge_filtration.at(p - 1).contains_subspace(img):
-                trans_ok = False
+    trans_ok = all(h.hodge_filtration.is_transverse(op) for op in h.operators)
     evidence.append(("transversality", trans_ok, ""))
     adm = admissibility_report(h.weight_filtration, h.operators)
     evidence.append(("admissibility_partial_sums", adm.partial_sums_exist, str(adm.details)))
@@ -539,14 +507,6 @@ def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None, use_surjectio
         sampled_ok = sampled_ok and ok
     evidence.append(("sampled_mhs", sampled_ok, ""))
     all_ok = trans_ok and adm.partial_sums_exist and adm.sampled_cone_constant and graded_ok and sampled_ok
-    if use_surjection_route and all_ok:
-        from .construct import surject_from_pure
-
-        try:
-            cert = surject_from_pure(h, policy)
-            evidence.append(("pure_surjection_witness", cert.verified, cert.source_verdict.status))
-        except ValueError as exc:
-            evidence.append(("pure_surjection_witness", False, str(exc)))
     if not all_ok:
         return Verdict(REFUTED, tuple(evidence))
     return Verdict(CERTIFIED if not h.operators else SUPPORTED, tuple(evidence))
@@ -581,9 +541,8 @@ def shear_equivalence_report(o: OrbitDatum, policy: Policy | None = None) -> She
     rest = o.operators[1:]
     left = []
     for a in policy.shears:
-        sheared = [n0] + [n0.scale(Fraction(a)) + op for op in rest]
         try:
-            datum = OrbitDatum(o.weight, o.pairing, tuple(sheared), o.hodge_filtration, o.twist_tag)
+            datum = OrbitDatum(o.weight, o.pairing, shear_operators(o.operators, a), o.hodge_filtration, o.twist_tag)
             left.append((a, check_pure_orbit(datum, policy)))
         except ValueError as exc:
             left.append((a, Verdict(REFUTED, (("construction", False, str(exc)),))))

@@ -13,6 +13,7 @@ from hodgeorbit.catalog import (
 )
 from hodgeorbit.construct import (
     build_selfdual_extension,
+    certify_surjection,
     embed_general,
     embed_two_weights,
     mixed_to_orbit,
@@ -242,6 +243,29 @@ def test_surjection_negative_produces_no_certificate():
     bad = gen_kummer(GaussScalar(0, 1), flip_weight=-2)
     with pytest.raises(ValueError):
         surject_from_pure(bad)
+
+
+def test_certify_surjection_rechecks_surject_from_pure():
+    h = gen_kummer(GaussScalar(0, 1))
+    cert = surject_from_pure(h)
+    assert certify_surjection(cert.source, h, cert.surjection) == cert
+
+
+def test_certify_surjection_checks_the_operator_count():
+    h = gen_kummer(GaussScalar(0, 1))
+    cert = surject_from_pure(h)
+    bare = make_datum(h.weight_filtration, h.hodge_filtration, [], dict(h.graded_pairings), h.twist_tag)
+    fewer = certify_surjection(cert.source, bare, cert.surjection)
+    assert not fewer.intertwines and not fewer.verified
+    assert fewer.condition_a and fewer.condition_b and fewer.new_operator_dies
+    s = cert.source
+    extra = OrbitDatum(s.weight, s.pairing, s.operators + s.operators[-1:], s.hodge_filtration, s.twist_tag)
+    more = certify_surjection(extra, h, cert.surjection)
+    assert not more.intertwines and not more.verified
+    # A source without a designated operator has nothing to certify against.
+    none = OrbitDatum(s.weight, s.pairing, (), s.hodge_filtration, s.twist_tag)
+    empty = certify_surjection(none, bare, cert.surjection)
+    assert not empty.intertwines and not empty.new_operator_dies and not empty.condition_b
 
 
 def test_double_dual_round_trip_on_certificates():

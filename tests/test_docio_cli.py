@@ -49,6 +49,14 @@ def test_parse_requires_pairings_for_nonzero_pieces():
         docio.parse(json.dumps(doc))
 
 
+def test_parse_names_a_missing_field():
+    for obj in (gen_kummer(GaussScalar(0, 1)), gen_elliptic_orbit()):
+        doc = json.loads(docio.serialize(obj))
+        del doc["dim"]
+        with pytest.raises(docio.ParseError, match="missing field 'dim'"):
+            docio.parse(json.dumps(doc))
+
+
 def test_certificate_roundtrip(tmp_path):
     from hodgeorbit.construct import embed_general
 
@@ -133,3 +141,61 @@ def test_verify_certificate_rejects_tampering(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify-certificate", "--input", str(path)]) == 1
     capsys.readouterr()
+
+
+# -- malformed certificate documents ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def kummer_certificates():
+    from hodgeorbit.construct import embed_general, surject_from_pure
+
+    h = gen_kummer(GaussScalar(0, 1))
+    return {
+        "embedding": json.loads(docio.serialize_certificate(embed_general(h))),
+        "surjection": json.loads(docio.serialize_certificate(surject_from_pure(h))),
+    }
+
+
+def _without(doc, key):
+    doc = dict(doc)
+    del doc[key]
+    return doc
+
+
+def _with_operators(doc, side, operators):
+    doc = json.loads(json.dumps(doc))
+    doc[side]["operators"] = operators
+    return doc
+
+
+def _drop_last_row(m):
+    return {**m, "entries": m["entries"][:-1], "rows": m["rows"] - 1}
+
+
+MALFORMED = {
+    "not_an_object": ("embedding", lambda d: [d], "must be a JSON object"),
+    "missing_source": ("embedding", lambda d: _without(d, "source"), "missing 'source'"),
+    "missing_target": ("embedding", lambda d: _without(d, "target"), "missing 'target'"),
+    "missing_map": ("surjection", lambda d: _without(d, "map"), "missing 'map'"),
+    "swapped_sides": ("embedding", lambda d: {**d, "source": d["target"], "target": d["source"]}, "wrong data kinds"),
+    "surjection_kinds": ("surjection", lambda d: {**d, "source": d["target"], "target": d["source"]}, "wrong data kinds"),
+    "target_without_operators": ("embedding", lambda d: _with_operators(d, "target", []), "one operator more"),
+    "source_without_operators": ("surjection", lambda d: _with_operators(d, "source", []), "one operator more"),
+    "shear_not_integer": ("embedding", lambda d: {**d, "shear": "x"}, "shear must be an integer"),
+    "shear_boolean": ("embedding", lambda d: {**d, "shear": True}, "shear must be an integer"),
+    "map_shape": ("embedding", lambda d: {**d, "map": _drop_last_row(d["map"])}, "map of shape"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_certificates_exit_2_with_a_named_reason(name, kummer_certificates, tmp_path, capsys):
+    kind, mutate, reason = MALFORMED[name]
+    text = json.dumps(mutate(kummer_certificates[kind]))
+    with pytest.raises(docio.ValidationError, match=reason):
+        docio.parse_certificate(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert main(["verify-certificate", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err

@@ -4,13 +4,18 @@ Every subspace is held by its canonical RREF basis, so the text of a
 filtration or a verdict is a byte-exact witness of the computation.  The
 digest below pins that text for ``weight_monodromy``, ``relative_monodromy``
 and ``check_pure_orbit``; a rewrite of the linear-algebra kernel, or any
-shortcut in it, must leave it unchanged.
+shortcut in it, must leave it unchanged.  A second digest pins the structured
+report, exit code and written document of every CLI command on every catalog
+document, so a refactor of the pipelines must leave those unchanged too.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 
-from hodgeorbit import catalog
+from hodgeorbit import catalog, docio
+from hodgeorbit.cli import main
 from hodgeorbit.monodromy import relative_monodromy, weight_monodromy
 from hodgeorbit.verify import Policy, Verdict, check_pure_orbit
 
@@ -73,3 +78,55 @@ def test_canonical_outputs_match_golden_digest():
     for line in golden_lines():
         h.update(line.encode("utf-8") + b"\n")
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+# -- every CLI command on every catalog document -------------------------------
+
+# Taken from the code before the duplicated block sums, transversality loops,
+# graded coordinates, shear searches and surjection re-checks were folded.
+GOLDEN_CLI_SHA256 = "7d419104e269ff9b02b6485295490f484ff8c309b71e1e1c24c0467b8a1913b6"
+
+MIXED_COMMANDS = ("check-mhs", "rel-monodromy", "embed", "surject")
+ORBIT_COMMANDS = ("check-orbit", "monodromy", "orbit-to-mixed", "prop44")
+WRITES = {"embed", "surject", "orbit-to-mixed"}
+
+
+def cli_transcript(tmp_path):
+    """One record per command run: the command, its exit code, stdout,
+    stderr and the document it wrote.  Certificates are re-checked with
+    ``verify-certificate`` and mixed outputs sent back with
+    ``mixed-to-orbit``."""
+    records = []
+
+    def run(name, command, source, written=None):
+        argv = [command, "--input", str(source), "--report", "structured"]
+        if written is not None:
+            argv += ["--output", str(written)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        doc = written.read_text() if written is not None and written.exists() else None
+        records.append(f"{name} {command} exit={code}\n{out.getvalue()}{err.getvalue()}{doc}")
+        return doc is not None
+
+    for entry in catalog.catalog_entries():
+        if entry.kind == "raw":
+            continue
+        source = tmp_path / f"{entry.name}.json"
+        source.write_text(docio.serialize(entry.build()))
+        for command in MIXED_COMMANDS if entry.kind == "mixed" else ORBIT_COMMANDS:
+            written = tmp_path / f"{entry.name}.{command}.json" if command in WRITES else None
+            if not run(entry.name, command, source, written):
+                continue
+            if command == "orbit-to-mixed":
+                run(entry.name, "mixed-to-orbit", written, tmp_path / f"{entry.name}.back.json")
+            elif command in WRITES:
+                run(entry.name, "verify-certificate", written)
+    return records
+
+
+def test_cli_outputs_match_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    for record in cli_transcript(tmp_path):
+        h.update(record.encode("utf-8") + b"\n")
+    assert h.hexdigest() == GOLDEN_CLI_SHA256

@@ -169,6 +169,36 @@ def test_select_rows_is_the_selector_product(data):
     assert m.select_rows(idx) == selector @ m
 
 
+def _zero_padded_reference(blocks):
+    cols = sum(b.cols for b in blocks)
+    rows, before = [], 0
+    for b in blocks:
+        for row in b.entries:
+            rows.append([ZERO] * before + list(row) + [ZERO] * (cols - before - b.cols))
+        before += b.cols
+    return Matrix(rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_sum_is_the_zero_padded_build(data):
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        rows = data.draw(st.integers(min_value=0, max_value=3))
+        cols = data.draw(st.integers(min_value=0, max_value=3))
+        blocks.append(Matrix(data.draw(st.lists(st.lists(gauss, min_size=cols, max_size=cols), min_size=rows, max_size=rows)), cols))
+    out = Matrix.block_diag(*blocks)
+    assert out == _zero_padded_reference(blocks)
+    assert out.shape == (sum(b.rows for b in blocks), sum(b.cols for b in blocks))
+
+
+def test_block_sum_with_empty_blocks():
+    a = Matrix([[1, 2], [3, 4]])
+    assert Matrix.block_diag(a, Matrix.zeros(1, 0)) == Matrix([[1, 2], [3, 4], [0, 0]])
+    assert Matrix.block_diag(Matrix.zeros(0, 2), a) == Matrix([[0, 0, 1, 2], [0, 0, 3, 4]])
+    assert Matrix.block_diag().shape == (0, 0)
+
+
 def test_trivial_subspaces_are_shared():
     for n in range(7):
         assert Subspace.zero(n) is Subspace.zero(n)

@@ -274,9 +274,11 @@ def test_operator_sum_facts_all_operators_zero():
 
 
 def test_check_mixed_orbit_surjection_route():
-    v = check_mixed_orbit(gen_kummer(GaussScalar(0, 1)), use_surjection_route=True)
-    assert v.status == SUPPORTED
-    assert v.clause("pure_surjection_witness") is True
+    from hodgeorbit.construct import surject_from_pure
+
+    h = gen_kummer(GaussScalar(0, 1))
+    assert check_mixed_orbit(h).status == SUPPORTED
+    assert surject_from_pure(h).verified
 
 
 def test_purity_invariant_under_rational_basis_change():

@@ -24,7 +24,6 @@ from .linalg import (
     image,
     image_of_subspace,
     intersect,
-    kernel,
     quotient_projection,
     quotient_section,
     subspace_sum,
@@ -204,6 +203,29 @@ def with_tag(h: HodgeDatum, twist_tag: int) -> HodgeDatum:
     return HodgeDatum(h.weight_filtration, h.hodge_filtration, h.operators, h.graded_pairings, twist_tag)
 
 
+def first_relation_failure(w: int, f: Filtration, s: Matrix):
+    """The least degree p at which the first bilinear relation
+    ann(F^p) = F^{w+1-p} fails, or None, for a perfect symmetric or
+    antisymmetric S.
+
+    ann(F^p) has dimension n - dim F^p, so it equals F^{w+1-p} exactly when
+    the dimensions add up to n and S pairs the two spaces to zero: one
+    product, no elimination.  Below the jumps of F and their mirrors about
+    (w+1)/2, F^p = V and F^{w+1-p} = 0, which holds; and since
+    ann(ann X) = X, degree w+1-p fails exactly when degree p does, so the
+    degrees above (w+1)/2 need no test either."""
+    if not f.steps:
+        return None
+    n = f.ambient_dim
+    for p in range(min(f.min_index(), w + 1 - f.max_index()), (w + 1) // 2 + 1):
+        fp, fq = f.at(p), f.at(w + 1 - p)
+        if fp.dim + fq.dim != n:
+            return p
+        if fp.dim and fq.dim and not (fp.basis @ s @ fq.basis.transpose()).is_zero():
+            return p
+    return None
+
+
 # ---------------------------------------------------------------------------
 # The pure orbit datum
 
@@ -240,15 +262,9 @@ class OrbitDatum:
             for j in range(i + 1, len(self.operators)):
                 if self.operators[i] @ self.operators[j] != self.operators[j] @ self.operators[i]:
                     raise ValueError("operators do not commute")
-        lo = self.hodge_filtration.min_index()
-        hi = self.hodge_filtration.max_index()
-        for p in range(min(lo, self.weight + 1 - hi) - 1, max(hi, self.weight + 1 - lo) + 2):
-            fp = self.hodge_filtration.at(p)
-            ann = kernel(fp.basis @ s) if fp.dim else Subspace.full(n)
-            if ann != self.hodge_filtration.at(self.weight + 1 - p):
-                raise ValueError(
-                    f"annihilator of F^{p} is not F^{self.weight + 1 - p}"
-                )
+        p = first_relation_failure(self.weight, self.hodge_filtration, s)
+        if p is not None:
+            raise ValueError(f"annihilator of F^{p} is not F^{self.weight + 1 - p}")
 
     @property
     def dim(self) -> int:

@@ -29,6 +29,14 @@ class ValidationError(ValueError):
     """Well-formed text whose content violates a type invariant."""
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer field; booleans, floats, strings and the rest are
+    rejected, never truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _scalar_out(x: GaussScalar):
     re, im = x.re, x.im
     return [[re.numerator, re.denominator], [im.numerator, im.denominator]]
@@ -66,7 +74,7 @@ def _filtration_in(obj, ambient: int, increasing: bool, key: str) -> Filtration:
         if key not in step:
             raise ParseError(f"filtration step missing index {key!r}")
         basis = _matrix_in(step["basis"])
-        pairs.append((int(step[key]), Subspace.from_matrix_rows(basis)))
+        pairs.append((_integer(step[key], f"filtration index {key!r}"), Subspace.from_matrix_rows(basis)))
     try:
         return Filtration.make(ambient, increasing, pairs)
     except ValueError as exc:
@@ -78,8 +86,9 @@ def _pairing_out(p: Pairing, weight):
 
 
 def _pairing_in(obj) -> Pairing:
+    twist, symmetry = _integer(obj["twist"], "pairing twist"), _integer(obj["symmetry"], "pairing symmetry")
     try:
-        return Pairing(_matrix_in(obj["matrix"]), int(obj["twist"]), int(obj["symmetry"]))
+        return Pairing(_matrix_in(obj["matrix"]), twist, symmetry)
     except ValueError as exc:
         raise ValidationError(f"invalid pairing: {exc}")
 
@@ -152,21 +161,22 @@ def parse(text: str):
 
 
 def _parse_orbit(doc) -> OrbitDatum:
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"], "dim")
     ff = _filtration_in(doc["hodge_filtration"], dim, False, "p")
     ops = tuple(_matrix_in(m) for m in doc.get("operators", []))
     pairings = [p for p in doc.get("pairings", []) if p.get("weight") == "global"]
     if len(pairings) != 1:
         raise ValidationError("orbit documents need exactly one global pairing")
     pairing = _pairing_in(pairings[0])
+    weight, twist_tag = _integer(doc["weight"], "weight"), _integer(doc.get("twist_tag", 0), "twist_tag")
     try:
-        return OrbitDatum(int(doc["weight"]), pairing, ops, ff, int(doc.get("twist_tag", 0)))
+        return OrbitDatum(weight, pairing, ops, ff, twist_tag)
     except ValueError as exc:
         raise ValidationError(str(exc))
 
 
 def _parse_mixed(doc):
-    dim = int(doc["dim"])
+    dim = _integer(doc["dim"], "dim")
     wf = _filtration_in(doc["weight_filtration"], dim, True, "k")
     ff = _filtration_in(doc["hodge_filtration"], dim, False, "p")
     ops = tuple(_matrix_in(m) for m in doc.get("operators", []))
@@ -176,9 +186,10 @@ def _parse_mixed(doc):
         if p.get("weight") == "global":
             global_pairing = _pairing_in(p)
         else:
-            graded[int(p["weight"])] = _pairing_in(p)
+            graded[_integer(p["weight"], "pairing weight")] = _pairing_in(p)
+    twist_tag = _integer(doc.get("twist_tag", 0), "twist_tag")
     try:
-        datum = make_datum(wf, ff, ops, graded, int(doc.get("twist_tag", 0)))
+        datum = make_datum(wf, ff, ops, graded, twist_tag)
     except ValueError as exc:
         raise ValidationError(str(exc))
     for w in datum.weights():
@@ -187,8 +198,9 @@ def _parse_mixed(doc):
     if "log_operator" in doc or global_pairing is not None:
         if global_pairing is None or "log_operator" not in doc or "weight" not in doc:
             raise ValidationError("paired documents need weight, global pairing and log_operator")
+        weight = _integer(doc["weight"], "weight")
         try:
-            return PairedDatum(datum, int(doc["weight"]), global_pairing, _matrix_in(doc["log_operator"]))
+            return PairedDatum(datum, weight, global_pairing, _matrix_in(doc["log_operator"]))
         except ValueError as exc:
             raise ValidationError(str(exc))
     return datum
@@ -254,9 +266,7 @@ def parse_certificate(text: str):
         raise ValidationError(f"{kind} certificate: the orbit side needs exactly one operator more than the mixed side")
     if mp.shape != (target.dim, source.dim):
         raise ValidationError(f"{kind} certificate: map of shape {mp.shape} does not send {source.dim} to {target.dim}")
-    shear = doc.get("shear", 0)
-    if isinstance(shear, bool) or not isinstance(shear, int):
-        raise ValidationError(f"{kind} certificate: shear must be an integer, not {shear!r}")
+    shear = _integer(doc.get("shear", 0), f"{kind} certificate: shear")
     return {
         "kind": kind,
         "source": source,

@@ -564,18 +564,33 @@ def quotient_section(s: Subspace) -> Matrix:
 def is_positive_definite_hermitian(m: Matrix) -> bool:
     """Sylvester test: all leading principal minors strictly positive.
 
-    Raises ValueError unless the input equals its conjugate transpose; the
-    minors of a Hermitian matrix are real rationals, which keeps the test
-    exact.
+    Raises ValueError unless the input equals its conjugate transpose.  One
+    elimination without row exchanges does it: while the leading minors
+    D_1, ..., D_{j-1} are nonzero, the j-th pivot is D_j / D_{j-1}, so the
+    minors are all positive exactly when every pivot is.  The trailing block
+    left after each step is again Hermitian, so each pivot is a real
+    rational and the test stays exact.
     """
     if m.rows != m.cols:
         raise ValueError("non-square matrix")
     if m != m.conj_transpose():
         raise ValueError("matrix is not Hermitian")
-    for k in range(1, m.rows + 1):
-        minor = Matrix(tuple(row[:k] for row in m.entries[:k]), k, _raw=True).det()
-        if minor.im != 0:
-            raise ValueError("Hermitian minor came out non-real")
-        if minor.re <= 0:
+    rows = [list(row) for row in m.entries]
+    n = m.rows
+    for j in range(n):
+        pivot_row = rows[j]
+        pivot = pivot_row[j]
+        if pivot.re <= 0:
             return False
+        inv = ONE / pivot
+        for i in range(j + 1, n):
+            row = rows[i]
+            f = row[j]
+            if f.is_zero():
+                continue
+            f = f * inv
+            for k in range(j + 1, n):
+                y = pivot_row[k]
+                if not y.is_zero():
+                    row[k] = row[k] - f * y
     return True

@@ -18,6 +18,7 @@ from .datum import (
     HodgeDatum,
     OrbitDatum,
     Pairing,
+    first_relation_failure,
     graded_maps,
     graded_piece,
     make_datum,
@@ -32,7 +33,6 @@ from .linalg import (
     intersect,
     is_positive_definite_hermitian,
     kernel,
-    subspace_sum,
 )
 from .monodromy import (
     OperatorSumFacts,
@@ -84,23 +84,18 @@ class Verdict:
 
 
 def exp_nilpotent(m: Matrix) -> Matrix:
-    if not m.is_nilpotent():
+    """The finite series sum_k m^k / k!.  An n x n matrix is nilpotent iff
+    its n-th power vanishes, so a power still nonzero at k = n refutes it."""
+    if m.rows != m.cols:
         raise ValueError("exp of non-nilpotent matrix")
     out = Matrix.identity(m.rows)
-    term = Matrix.identity(m.rows)
-    k = 1
-    while True:
-        term = term @ m
-        if term.is_zero():
-            return out
-        out = out + term.scale(Fraction(1, _factorial(k)))
-        k += 1
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
+    term, k, coeff = m, 1, Fraction(1)
+    while not term.is_zero():
+        if k >= m.rows:
+            raise ValueError("exp of non-nilpotent matrix")
+        coeff /= k
+        out = out + term.scale(coeff)
+        term, k = term @ m, k + 1
     return out
 
 
@@ -130,40 +125,45 @@ class HodgeDecomposition:
 
 def hodge_decomposition(w: int, f: Filtration):
     """The (p, q)-decomposition forced by F when V = F^p + conj F^{w+1-p}
-    holds in every degree; None if purity fails."""
+    holds in every degree from the first jump to the last; None if purity
+    fails.
+
+    The condition is not tested degree by degree.  Instead the pieces
+    H^{p,q} = F^p cap conj F^q, for p from one below the first jump to the
+    last, must have dimensions adding up to n and span V, so they form a
+    direct sum.  Then F^p cap conj F^{w+1-p} lies in both H^{p-1,w+1-p}
+    and H^{p,w-p}, so it is zero; and each piece lies in F^p (from p up) or
+    in conj F^{w+1-p} (below p), so the two span V."""
+    pieces = _hodge_pieces(w, f, lambda p, q: intersect(f.at(p), f.at(q).conjugate()))
+    if pieces is None:
+        return None
+    rows = [row for _, _, piece in pieces for row in piece.basis.entries]
+    if not Subspace.from_vectors(f.ambient_dim, rows).is_full():
+        return None
+    return HodgeDecomposition(w, pieces)
+
+
+def _hodge_pieces(w: int, f: Filtration, piece_at):
+    """The nonzero pieces (p, q, H^{p,q}) for p from one below the first
+    jump to the last, with H^{p,q} = piece_at(p, q); None unless their
+    dimensions add up to n.  H^{q,p} is the conjugate of H^{p,q}, and
+    conjugating the RREF basis of one gives the RREF basis of the other, so
+    only half of the pieces are computed."""
     n = f.ambient_dim
     if n == 0:
-        return HodgeDecomposition(w, ())
-    conj_steps = {p: f.at(p).conjugate() for p in range(f.min_index() - 1, f.max_index() + 2)}
-
-    def conj_at(p):
-        if p < f.min_index() - 1:
-            return Subspace.full(n)
-        if p > f.max_index() + 1:
-            return Subspace.zero(n)
-        return conj_steps[p]
-
-    for p in range(f.min_index(), f.max_index() + 1):
-        fp = f.at(p)
-        cg = conj_at(w + 1 - p)
-        if fp.dim + cg.dim != n or intersect(fp, cg).dim != 0:
-            return None
+        return ()
+    lo, hi = f.min_index(), f.max_index()
+    found = {}
     pieces = []
     total = 0
-    for p in range(f.min_index() - 1, f.max_index() + 1):
+    for p in range(lo - 1, hi + 1):
         q = w - p
-        piece = intersect(f.at(p), conj_at(q))
+        piece = found[q].conjugate() if q in found else piece_at(p, q)
+        found[p] = piece
         if piece.dim:
             pieces.append((p, q, piece))
             total += piece.dim
-    if total != n:
-        return None
-    span = Subspace.zero(n)
-    for _, _, piece in pieces:
-        span = subspace_sum(span, piece)
-    if span.dim != n:
-        return None
-    return HodgeDecomposition(w, tuple(pieces))
+    return tuple(pieces) if total == n else None
 
 
 def is_pure_hs(w: int, f: Filtration) -> bool:
@@ -173,7 +173,14 @@ def is_pure_hs(w: int, f: Filtration) -> bool:
 
 def is_polarized_hs(w: int, f: Filtration, s: Pairing) -> bool:
     """First Riemann relation, purity, and exact positivity of the form
-    (u, v) -> i^(p-q) * S(u, conj v) on each (p, q)-piece."""
+    (u, v) -> i^(p-q) * S(u, conj v) on each (p, q)-piece.
+
+    Once the first relation holds, conj F^{w-p} is the orthogonal complement
+    of F^{p+1} under h(u, v) = S(u, conj v), so H^{p,q} is the part of F^p
+    that h pairs to zero with F^{p+1}.  The pieces are then mutually
+    h-orthogonal, so when h is definite on each of them they are
+    independent, and with dimensions adding up to n they span V: the
+    positivity test settles purity too."""
     n = f.ambient_dim
     if s.matrix.rows != n:
         raise ValueError("pairing size does not match the space")
@@ -181,15 +188,17 @@ def is_polarized_hs(w: int, f: Filtration, s: Pairing) -> bool:
         raise ValueError("pairing has wrong twist or symmetry for the weight")
     if not s.is_perfect():
         raise ValueError("pairing is degenerate")
-    for p in _mirrored_degrees(f, w):
-        fp = f.at(p)
-        ann = kernel(fp.basis @ s.matrix) if fp.dim else Subspace.full(n)
-        if ann != f.at(w + 1 - p):
-            return False
-    dec = hodge_decomposition(w, f)
-    if dec is None:
+    if first_relation_failure(w, f, s.matrix) is not None:
         return False
-    for p, q, piece in dec.pieces:
+    pieces = _hodge_pieces(w, f, lambda p, q: _polarized_piece(f, p, q, s.matrix))
+    if pieces is None:
+        return False
+    # S is rational, so the form on H^{q,p} = conj H^{p,q} is the conjugate,
+    # i.e. the transpose, of the form on H^{p,q}: same leading minors.
+    degrees = {p for p, _, _ in pieces}
+    for p, q, piece in pieces:
+        if q < p and q in degrees:
+            continue
         c = _I_POWERS[(p - q) % 4]
         basis = piece.basis
         gram = (basis @ s.matrix @ basis.conjugate().transpose()).scale(c)
@@ -199,6 +208,20 @@ def is_polarized_hs(w: int, f: Filtration, s: Pairing) -> bool:
         except ValueError:
             return False
     return True
+
+
+def _polarized_piece(f: Filtration, p: int, q: int, s: Matrix) -> Subspace:
+    """H^{p,q} = F^p cap conj F^q when the first relation holds for the
+    rational S: then conj F^q is {u : S(v, conj u) = 0 for v in F^{p+1}}.
+    With u = B^T a over the basis B of F^p, that is a kernel in the
+    coordinates a: conj(B') S B^T a = 0, B' the basis of F^{p+1}."""
+    fp, fnext = f.at(p), f.at(p + 1)
+    if fp.is_full():
+        return f.at(q).conjugate()
+    if fp.dim == 0 or fnext.dim == 0:
+        return fp
+    coords = fp.basis.transpose()
+    return image_of_subspace(coords, kernel(fnext.basis.conjugate() @ s @ coords))
 
 
 def mhs_failures(h: HodgeDatum) -> list:
@@ -230,16 +253,6 @@ class StructureReport:
         return all(self.transversality) and all(self.isotropy) and self.annihilator_ok
 
 
-def _mirrored_degrees(f: Filtration, w: int):
-    """Degrees where the first bilinear relation ann(F^p) = F^{w+1-p} has
-    distinct instances: the whole range between the jumps and their
-    mirrors about (w+1)/2."""
-    if not f.steps:
-        return ()
-    lo, hi = f.min_index(), f.max_index()
-    return range(min(lo, w + 1 - hi) - 1, max(hi, w + 1 - lo) + 2)
-
-
 def griffiths_isotropy_checks(weight: int, pairing: Pairing, operators, f: Filtration) -> StructureReport:
     """Pointwise Griffiths transversality, infinitesimal isotropy, and the
     self-annihilation of F under the pairing.
@@ -247,17 +260,12 @@ def griffiths_isotropy_checks(weight: int, pairing: Pairing, operators, f: Filtr
     Accepts raw parts so that it can diagnose data that would fail the
     OrbitDatum validators.
     """
-    n = f.ambient_dim
     s = pairing.matrix
     trans = tuple(f.is_transverse(op) for op in operators)
     iso = tuple((op.transpose() @ s + s @ op).is_zero() for op in operators)
-    ann_ok = True
-    for p in _mirrored_degrees(f, weight):
-        fp = f.at(p)
-        ann = kernel(fp.basis @ s) if fp.dim else Subspace.full(n)
-        if ann != f.at(weight + 1 - p):
-            ann_ok = False
-            break
+    # Below the jumps F^p = V, whose annihilator is the kernel of S, and
+    # F^{w+1-p} = 0: the relation needs a perfect pairing.
+    ann_ok = first_relation_failure(weight, f, s) is None and pairing.is_perfect()
     return StructureReport(trans, iso, ann_ok)
 
 
@@ -294,6 +302,7 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
     w = o.weight
     wfilt = shift(weight_monodromy(n0), w)
     n = o.dim
+    powers = _powers(n0, wfilt.max_index() - w + 1)
     parts = []
     count = 0
     for k in range(w, wfilt.max_index() + 1):
@@ -301,7 +310,7 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
         if gm.dim == 0:
             continue
         # P_k = kernel of N_0^(k-w+1) as a map gr_k -> gr_{2w-k-2}.
-        power_map = n0.power(k - w + 1)
+        power_map = powers[k - w + 1]
         gm_t = graded_maps(wfilt, 2 * w - k - 2)
         if gm_t.dim == 0:
             induced = Matrix.zeros(0, gm.dim)
@@ -312,8 +321,7 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
             continue
         count += (k - w + 1) * prim.dim
         incl = gm.section @ prim.basis.transpose()  # primitive coords -> V
-        power = n0.power(k - w)
-        pair_matrix = incl.transpose() @ o.pairing.matrix @ power @ incl
+        pair_matrix = incl.transpose() @ o.pairing.matrix @ powers[k - w] @ incl
         pairing = Pairing(pair_matrix, -k, (-1) ** (k % 2))
         pivots = prim.pivots()
         sel = Matrix.identity(gm.dim).select_rows(pivots)
@@ -328,6 +336,14 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
     return PrimitiveDecomposition(w, tuple(parts), count == n)
 
 
+def _powers(m: Matrix, d: int) -> list:
+    """[m^0, m^1, ..., m^d], each power multiplied up once."""
+    out = [Matrix.identity(m.rows)]
+    for _ in range(d):
+        out.append(out[-1] @ m)
+    return out
+
+
 def lefschetz_graded_pairings(o: OrbitDatum):
     """Graded pairings on gr of W(N_0)[-w] assembled from the primitive
     decomposition (orthogonal components, primitive forms transported by
@@ -337,6 +353,7 @@ def lefschetz_graded_pairings(o: OrbitDatum):
     wfilt = shift(weight_monodromy(n0), w)
     dec = primitive_parts(o)
     by_weight = {part.weight_k: part for part in dec.parts}
+    powers = _powers(n0, (wfilt.max_index() - wfilt.min_index()) // 2)
     pairings = {}
     for k in wfilt.jumps():
         gm = graded_maps(wfilt, k)
@@ -355,10 +372,9 @@ def lefschetz_graded_pairings(o: OrbitDatum):
             if part is not None and m >= w and m >= 2 * w - k:
                 gm_m = graded_maps(wfilt, m)
                 incl_m = gm_m.section @ part.subspace.basis.transpose()
-                power = n0.power(j)
                 for col in range(part.subspace.dim):
                     rep = incl_m.col(col)
-                    cols.append(gm.project.apply(power.apply(rep)))
+                    cols.append(gm.project.apply(powers[j].apply(rep)))
                 blocks.append(part.pairing.matrix)
             j += 1
         if len(cols) != gm.dim:
@@ -389,10 +405,15 @@ def sampled_orbit_membership(o: OrbitDatum, y_grid=None, policy: Policy | None =
     if y_grid is None:
         y_grid = policy.grid_points(len(o.operators))
     points = []
+    # Distinct grid points often move F to the same filtration; each
+    # filtration is tested once per call.
+    tested = {}
     for y in y_grid:
         e = exp_twisted_combination(o.operators, y, o.dim)
         fy = o.hodge_filtration.map_image(e)
-        points.append((tuple(y), is_polarized_hs(o.weight, fy, o.pairing)))
+        if fy not in tested:
+            tested[fy] = is_polarized_hs(o.weight, fy, o.pairing)
+        points.append((tuple(y), tested[fy]))
     return MembershipReport(tuple(points))
 
 

@@ -199,3 +199,41 @@ def test_malformed_certificates_exit_2_with_a_named_reason(name, kummer_certific
     assert main(["verify-certificate", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+# -- integer fields of datum documents ---------------------------------------------
+
+
+INTEGER_FIELDS = {
+    "dim": ("kummer_i", ("dim",)),
+    "twist_tag": ("kummer_i", ("twist_tag",)),
+    "filtration index 'k'": ("kummer_i", ("weight_filtration", 0, "k")),
+    "filtration index 'p'": ("kummer_i", ("hodge_filtration", 0, "p")),
+    "pairing weight": ("kummer_i", ("pairings", 0, "weight")),
+    "pairing twist": ("kummer_i", ("pairings", 0, "twist")),
+    "pairing symmetry": ("kummer_i", ("pairings", 0, "symmetry")),
+    "weight": ("elliptic_orbit", ("weight",)),
+}
+NOT_INTEGERS = ("x", [1], None, 2.5, True)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_accept_only_json_integers(field, value, tmp_path, capsys):
+    from hodgeorbit.catalog import catalog_by_name
+
+    name, path = INTEGER_FIELDS[field]
+    doc = json.loads(docio.serialize(catalog_by_name(name).build()))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    text = json.dumps(doc)
+    with pytest.raises(docio.ValidationError, match=f"^{field} must be an integer"):
+        docio.parse(text)
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(text)
+    command = "check-mhs" if name == "kummer_i" else "check-orbit"
+    assert main([command, "--input", str(doc_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be an integer" in err and "Traceback" not in err

@@ -19,6 +19,7 @@ from .datum import (
     Pairing,
     direct_sum,
     make_datum,
+    tate_object,
     tate_twist,
     with_tag,
 )
@@ -32,12 +33,7 @@ from .scalars import GaussScalar, ONE, ZERO
 # Basic generators
 
 
-def gen_tate(r: int, n_ops: int = 0) -> HodgeDatum:
-    """The rank-one twist Q(r): pure weight -2r."""
-    wf = trivial_weight_filtration(1, -2 * r)
-    ff = Filtration.make(1, False, [(-r, Subspace.full(1)), (-r + 1, Subspace.zero(1))])
-    pairing = Pairing(Matrix([[1]]), 2 * r, 1)
-    return make_datum(wf, ff, [Matrix.zeros(1, 1)] * n_ops, {-2 * r: pairing}, r)
+gen_tate = tate_object  # the rank-one twist Q(r), pure of weight -2r
 
 
 def gen_kummer(z, n_ops: int = 1, flip_weight=None) -> HodgeDatum:

@@ -33,6 +33,7 @@ from .datum import (
     PairedDatum,
     Pairing,
     dual,
+    dual_pairing,
     graded_maps,
     graded_piece,
     make_datum,
@@ -42,10 +43,12 @@ from .datum import (
     sub_truncate,
     sum_operators,
     quotient_datum,
+    tate_object,
     tate_twist,
     tensor,
+    weight_symmetry,
 )
-from .extensions import build_unit_extension, carlson_class, normalize_class
+from .extensions import build_unit_extension, carlson_class, normalize_class, unit_section_difference
 from .filtration import Filtration, trivial_weight_filtration
 from .linalg import (
     Matrix,
@@ -183,18 +186,9 @@ def build_selfdual_extension(h: HodgeDatum, unit_generator=None, policy: Policy 
     tilde_q = tate_twist(dual(h), 1)
     # Hodge part of the class of tilde_q, with the quotient identified with
     # the unit by evaluation at g.
-    f0 = tilde_q.hodge_filtration.at(0)
-    coeffs = [sum((c * x for c, x in zip(row, g)), ZERO) for row in f0.basis.entries]
-    sol = solve(Matrix([coeffs]) if coeffs else Matrix.zeros(1, 0), [ONE])
-    if sol is None:
-        raise ValueError("twisted dual has no F-preserving unit section")
-    s_f = [ZERO] * n
-    for c, row in zip(sol, f0.basis.entries):
-        s_f = [x + c * y for x, y in zip(s_f, row)]
-    s_q = solve(Matrix([[x.re for x in g]]), [ONE])
-    if s_q is None:
-        raise ValueError("degenerate unit generator")
-    rep_tq = tuple(a - GaussScalar.of(b) for a, b in zip(s_f, s_q))
+    rep_tq, s_q = unit_section_difference(
+        tilde_q.hodge_filtration.at(0), g, "twisted dual has no F-preserving unit section"
+    )
     v_tq = [op.apply(s_q) for op in tilde_q.operators]
 
     # Transport from the sub of tilde_q to gr_{-1}(h) via the polarization.
@@ -387,7 +381,7 @@ def certify_embedding(
     inj = injection
     injective = echelonize(inj.transpose()).rows == source.dim
     cond_i = injective  # free cokernel is automatic over a field
-    cond_ii = target.pairing.is_perfect() and target.pairing.symmetry == (-1) ** (target.weight % 2)
+    cond_ii = target.pairing.is_perfect() and target.pairing.symmetry == weight_symmetry(target.weight)
     inter = len(target.operators) == len(source.operators) + 1
     if inter:
         for ns, nt in zip(source.operators, target.operators[1:]):
@@ -450,33 +444,21 @@ def certify_surjection(
 # Two-weight embedding
 
 
-def _attach_pairing(partial: HodgeDatum, w: int, src: HodgeDatum, src_w: int, mp: Matrix, pairing: Pairing) -> Pairing:
-    """Transport a graded pairing along a map inducing an isomorphism on
-    the graded piece."""
-    gm_dst = graded_maps(partial.weight_filtration, w)
-    gm_src = graded_maps(src.weight_filtration, src_w)
-    phi = gm_dst.project @ mp @ gm_src.section
-    return Pairing(
-        matrix_inverse(phi).transpose() @ pairing.matrix @ matrix_inverse(phi),
-        -w,
-        (-1) ** (w % 2),
-    )
+def _attach_pairing(wf: Filtration, src: HodgeDatum, w: int, mp: Matrix) -> Pairing:
+    """Transport the weight-w pairing of src along mp, a map inducing an
+    isomorphism of gr_w(src) onto gr_w of the filtration wf."""
+    return src.pairing(w).transport(graded_maps(wf, w).project @ mp @ src.graded(w).section)
 
 
 def _pure_base_certificate(h: HodgeDatum, w: int, policy: Policy) -> EmbeddingCertificate:
     pairing = h.pairing(w)
     if pairing is None:
         raise ValueError(f"missing pairing at weight {w}")
-    gm = graded_maps(h.weight_filtration, w)
-    phi = gm.project  # here W_{w-1} = 0, so this is a plain base change
-    pr = Pairing(
-        matrix_inverse(phi).transpose() @ pairing.matrix @ matrix_inverse(phi),
-        -w,
-        (-1) ** (w % 2),
-    )
+    # Here W_{w-1} = 0 and W_w = V, so gr_w has the coordinates of V and the
+    # pairing is taken as it is.
     orbit = OrbitDatum(
         w,
-        pr,
+        pairing,
         (Matrix.zeros(h.dim, h.dim),) + h.operators,
         h.hodge_filtration,
         h.twist_tag,
@@ -504,14 +486,14 @@ def embed_two_weights(h: HodgeDatum, top_weight=None, policy: Policy | None = No
     tbb = tensor(bt, b_datum)
     incl_bb = Matrix.identity(bdim).kron(gm_b.section)
     # Both pushout legs carry twist tag bt.tag + h.tag = 1.
-    unit_1 = _twisted_unit(len(h.operators), 1)
+    unit_1 = tate_object(1, len(h.operators))
     trace = Matrix.from_rows(
         [[ONE if i == j else ZERO for i in range(bdim) for j in range(bdim)]], bdim * bdim
     )
     p_raw, map_tbh, map_unit = pushout(incl_bb, trace, tbb, tbh, unit_1)
-    pairings = {-2: _attach_pairing(p_raw, -2, unit_1, -2, map_unit, unit_1.pairing(-2))}
+    pairings = {-2: _attach_pairing(p_raw.weight_filtration, unit_1, -2, map_unit)}
     if p_raw.weight_filtration.graded_dim(-1):
-        pairings[-1] = _attach_pairing(p_raw, -1, tbh, -1, map_tbh, tbh.pairing(-1))
+        pairings[-1] = _attach_pairing(p_raw.weight_filtration, tbh, -1, map_tbh)
     p_datum = make_datum(
         p_raw.weight_filtration,
         p_raw.hodge_filtration,
@@ -525,7 +507,7 @@ def embed_two_weights(h: HodgeDatum, top_weight=None, policy: Policy | None = No
     bm = tate_twist(b_datum, -1)  # pure of weight w+1
     big = tensor(bm, ext.datum)
     s_bm = bm.pairing(w + 1)
-    orbit_pairing = Pairing(s_bm.matrix.kron(s_tp.matrix), -w, (-1) ** (w % 2))
+    orbit_pairing = Pairing.of_weight(s_bm.matrix.kron(s_tp.matrix), w)
     new_op = Matrix.identity(bdim).kron(ext.log_operator)
     # Injection: x -> sum_i e_i x (lambda_i x x) pushed into the extension.
     stage = Matrix.identity(bdim).kron(ext.inclusion @ map_tbh)
@@ -551,14 +533,6 @@ def _probe_points(policy: Policy, n_ops: int):
         for i in range(n_ops):
             pts.append(tuple(lo if t == i else hi for t in range(n_ops)))
     return pts
-
-
-def _twisted_unit(n_ops: int, r: int) -> HodgeDatum:
-    """The rank-one twist Q(r): weight -2r, F jumping at -r."""
-    wf = trivial_weight_filtration(1, -2 * r)
-    ff = Filtration.make(1, False, [(-r, Subspace.full(1)), (-r + 1, Subspace.zero(1))])
-    pair = Pairing(Matrix([[1]]), 2 * r, 1)
-    return make_datum(wf, ff, [Matrix.zeros(1, 1)] * n_ops, {-2 * r: pair}, r)
 
 
 # ---------------------------------------------------------------------------
@@ -686,16 +660,8 @@ def _glue_extension(h: HodgeDatum, w: int, incl_low: Matrix, low_cert: Embedding
         ops.append(proj @ big @ sec)
     pairings = {}
     if wf.graded_dim(w):
-        pairings[w] = _attach_pairing(
-            make_datum(wf, ff, [], {}, h.twist_tag), w, h, w, map_h, h.pairing(w)
-        )
-    gm_j = graded_maps(wf, w - 1)
-    phi = gm_j.project @ map_i
-    pairings[w - 1] = Pairing(
-        matrix_inverse(phi).transpose() @ i_orbit.pairing.matrix @ matrix_inverse(phi),
-        -(w - 1),
-        (-1) ** ((w - 1) % 2),
-    )
+        pairings[w] = _attach_pairing(wf, h, w, map_h)
+    pairings[w - 1] = i_orbit.pairing.transport(graded_maps(wf, w - 1).project @ map_i)
     j_datum = make_datum(wf, ff, ops, pairings, h.twist_tag)
     return j_datum, map_h
 
@@ -706,16 +672,8 @@ def _glue_extension(h: HodgeDatum, w: int, incl_low: Matrix, low_cert: Embedding
 
 def orbit_dual(o: OrbitDatum) -> OrbitDatum:
     """Dual orbit datum on the functional coordinates."""
-    n = o.dim
-    s_inv_t = matrix_inverse(o.pairing.matrix).transpose()
-    pairing = Pairing(s_inv_t, -(-o.weight), o.pairing.symmetry)
     ops = tuple(-op.transpose() for op in o.operators)
-    f_pairs = []
-    for p in o.hodge_filtration.jumps():
-        for idx in (1 - p, 2 - p):
-            f_pairs.append((idx, o.hodge_filtration.at(1 - idx).annihilator()))
-    ff = Filtration.make(n, False, f_pairs)
-    return OrbitDatum(-o.weight, pairing, ops, ff, -o.twist_tag)
+    return OrbitDatum(-o.weight, dual_pairing(o.pairing), ops, o.hodge_filtration.dual(), -o.twist_tag)
 
 
 def surject_from_pure(h: HodgeDatum, policy: Policy | None = None) -> SurjectionCertificate:

@@ -51,6 +51,12 @@ def matrix_inverse(m: Matrix) -> Matrix:
 # Pairings
 
 
+def weight_symmetry(w: int) -> int:
+    """The symmetry of a pairing on a piece of weight w: +1 for even w,
+    -1 for odd w."""
+    return (-1) ** (w % 2)
+
+
 @dataclass(frozen=True)
 class Pairing:
     """A bilinear form u, v -> u^T M v with values in Q * (2 pi i)^twist."""
@@ -82,8 +88,15 @@ class Pairing:
     def negate(self) -> "Pairing":
         return Pairing(-self.matrix, self.twist, self.symmetry)
 
-    def base_change(self, phi_inv: Matrix) -> "Pairing":
-        """Pairing in new coordinates x, given old = phi_inv(new)."""
+    @staticmethod
+    def of_weight(matrix: Matrix, w: int) -> "Pairing":
+        """The pairing of a piece of weight w: values in Q * (2 pi i)^(-w)."""
+        return Pairing(matrix, -w, weight_symmetry(w))
+
+    def transport(self, phi: Matrix) -> "Pairing":
+        """The same pairing in new coordinates, phi mapping old coordinates
+        to new: M becomes phi^-T M phi^-1."""
+        phi_inv = matrix_inverse(phi)
         return Pairing(phi_inv.transpose() @ self.matrix @ phi_inv, self.twist, self.symmetry)
 
 
@@ -146,9 +159,8 @@ class HodgeDatum:
                 raise ValueError("operators must be rational")
             if not op.is_nilpotent():
                 raise ValueError("operator is not nilpotent")
-            for _, s in self.weight_filtration.steps:
-                if not s.contains_subspace(image_of_subspace(op, s)):
-                    raise ValueError("operator does not preserve the weight filtration")
+            if not self.weight_filtration.is_shifted_by(op, 0):
+                raise ValueError("operator does not preserve the weight filtration")
         for i in range(len(self.operators)):
             for j in range(i + 1, len(self.operators)):
                 if self.operators[i] @ self.operators[j] != self.operators[j] @ self.operators[i]:
@@ -159,7 +171,7 @@ class HodgeDatum:
                 raise ValueError(f"pairing at weight {w} has wrong size")
             if p.twist != -w:
                 raise ValueError(f"pairing at weight {w} must have twist {-w}")
-            if p.symmetry != (-1) ** (w % 2):
+            if p.symmetry != weight_symmetry(w):
                 raise ValueError(f"pairing at weight {w} has wrong symmetry")
             if not p.is_perfect():
                 raise ValueError(f"pairing at weight {w} is degenerate")
@@ -246,7 +258,7 @@ class OrbitDatum:
             raise ValueError("Hodge filtration malformed")
         if self.pairing.twist != -self.weight:
             raise ValueError("pairing twist must be minus the weight")
-        if self.pairing.symmetry != (-1) ** (self.weight % 2):
+        if self.pairing.symmetry != weight_symmetry(self.weight):
             raise ValueError("pairing has wrong symmetry for the weight")
         if not self.pairing.is_perfect():
             raise ValueError("pairing is degenerate")
@@ -297,7 +309,7 @@ class PairedDatum:
         n = h.dim
         if s.matrix.rows != n:
             raise ValueError("global pairing has wrong size")
-        if s.twist != -w or s.symmetry != (-1) ** (w % 2):
+        if s.twist != -w or s.symmetry != weight_symmetry(w):
             raise ValueError("global pairing has wrong twist or symmetry")
         if not s.is_perfect():
             raise ValueError("global pairing is degenerate")
@@ -308,9 +320,8 @@ class PairedDatum:
         for op in h.operators:
             if op @ nn != nn @ op:
                 raise ValueError("log operator does not commute with the operators")
-        for k, sub in h.weight_filtration.steps:
-            if not sub.contains_subspace(image_of_subspace(nn, sub)):
-                raise ValueError("log operator does not preserve the weight filtration")
+        if not h.weight_filtration.is_shifted_by(nn, 0):
+            raise ValueError("log operator does not preserve the weight filtration")
         # Pairing compatibility with W: <W_a, W_b> = 0 once a + b < 2w.
         for a, sa in h.weight_filtration.steps:
             for b, sb in h.weight_filtration.steps:
@@ -372,44 +383,24 @@ def is_morphism(f: Matrix, a: HodgeDatum, b: HodgeDatum, strict: bool = True) ->
 # Functors
 
 
-def _transport_pairing(p: Pairing, phi: Matrix) -> Pairing:
-    """Pairing in new graded coordinates; phi maps old coords to new."""
-    return p.base_change(matrix_inverse(phi))
-
-
 def dual(h: HodgeDatum) -> HodgeDatum:
     """Dual datum: W_k^* = ann W_{-k-1}, F^p^* = ann F^{1-p}, N^* = -N^T."""
-    n = h.dim
-    w_pairs = []
-    for k in h.weight_filtration.jumps():
-        for idx in (-k, -k - 1):
-            w_pairs.append((idx, h.weight_filtration.at(-idx - 1).annihilator()))
-    wf = Filtration.make(n, True, w_pairs)
-    f_pairs = []
-    for p in h.hodge_filtration.jumps():
-        for idx in (1 - p, 1 - p + 1):
-            f_pairs.append((idx, h.hodge_filtration.at(1 - idx).annihilator()))
-    ff = Filtration.make(n, False, f_pairs)
+    wf, ff = h.weight_filtration.dual(), h.hodge_filtration.dual()
     ops = tuple(-op.transpose() for op in h.operators)
-    partial = HodgeDatum(wf, ff, ops, (), -h.twist_tag)
     pairings = {}
     for w, p in h.graded_pairings:
-        gm_dual = partial.graded(-w)
         gm = h.graded(w)
         if gm.dim == 0:
             continue
         # Evaluation matrix between gr_{-w}(h^*) and gr_w(h) canonical bases.
-        ev = gm_dual.section.transpose() @ gm.section
-        dp = dual_pairing(p)
-        evi = matrix_inverse(ev)
-        pairings[-w] = Pairing(evi.transpose() @ dp.matrix @ evi, dp.twist, dp.symmetry)
+        ev = graded_maps(wf, -w).section.transpose() @ gm.section
+        pairings[-w] = dual_pairing(p).transport(ev)
     return make_datum(wf, ff, ops, pairings, -h.twist_tag)
 
 
 def tate_twist(h: HodgeDatum, r: int) -> HodgeDatum:
     """Tensor with the rank-one twist: weights shift by -2r, F by -r."""
-    wf = Filtration(h.dim, True, tuple((k - 2 * r, s) for k, s in h.weight_filtration.steps))
-    ff = Filtration(h.dim, False, tuple((p - r, s) for p, s in h.hodge_filtration.steps))
+    wf, ff = h.weight_filtration.shift(-2 * r), h.hodge_filtration.shift(-r)
     pairings = {
         w - 2 * r: Pairing(p.matrix, p.twist + 2 * r, p.symmetry)
         for w, p in h.graded_pairings
@@ -477,9 +468,7 @@ def tensor(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
         phi = Matrix.from_rows(list(zip(*cols)), len(cols))
         if phi.rows != gm.dim or len(cols) != gm.dim:
             continue  # graded piece not exhausted by paired blocks
-        src = Matrix.block_diag(*blocks)
-        phi_inv = matrix_inverse(phi)
-        pairings[w] = Pairing(phi_inv.transpose() @ src @ phi_inv, -w, (-1) ** (w % 2))
+        pairings[w] = Pairing.of_weight(Matrix.block_diag(*blocks), w).transport(phi)
     return make_datum(wf, ff, ops, pairings, a.twist_tag + b.twist_tag)
 
 
@@ -513,10 +502,16 @@ def direct_sum(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
         blocks = [p.matrix for p in (pa, pb) if p is not None and p.matrix.rows]
         if not blocks:
             continue
-        src = Matrix.block_diag(*blocks)
-        phi_inv = matrix_inverse(phi)
-        pairings[w] = Pairing(phi_inv.transpose() @ src @ phi_inv, -w, (-1) ** (w % 2))
+        pairings[w] = Pairing.of_weight(Matrix.block_diag(*blocks), w).transport(phi)
     return make_datum(wf, ff, ops, pairings, a.twist_tag)
+
+
+def tate_object(r: int, n_ops: int = 0) -> HodgeDatum:
+    """The rank-one twist Q(r): pure of weight -2r, F jumping at -r."""
+    wf = trivial_weight_filtration(1, -2 * r)
+    ff = Filtration.make(1, False, [(-r, Subspace.full(1)), (-r + 1, Subspace.zero(1))])
+    pairing = Pairing(Matrix([[1]]), 2 * r, 1)
+    return make_datum(wf, ff, [Matrix.zeros(1, 1)] * n_ops, {-2 * r: pairing}, r)
 
 
 def zero_datum(dim: int, n_ops: int, twist_tag: int = 0) -> HodgeDatum:
@@ -534,13 +529,7 @@ def graded_piece(h: HodgeDatum, w: int) -> HodgeDatum:
     if g == 0:
         return zero_datum(0, len(h.operators), h.twist_tag)
     wf = trivial_weight_filtration(g, w)
-    ww = h.weight_filtration.at(w)
-    f_pairs = []
-    for p in h.hodge_filtration.jumps():
-        fp = intersect(h.hodge_filtration.at(p), ww)
-        f_pairs.append((p, image_of_subspace(gm.project, fp)))
-    f_pairs.append((h.hodge_filtration.max_index() + 1, Subspace.zero(g)))
-    ff = Filtration.make(g, False, f_pairs)
+    ff = h.hodge_filtration.map_image(gm.project, within=h.weight_filtration.at(w))
     ops = tuple(gm.project @ op @ gm.section for op in h.operators)
     pairings = {}
     p = h.pairing(w)
@@ -555,27 +544,21 @@ def sub_truncate(h: HodgeDatum, j: int):
     Returns (datum, inclusion matrix into h).
     """
     s = h.weight_filtration.at(j)
-    k = s.dim
     incl = s.basis.transpose()
     pivots = s.pivots()
     restrict = Matrix.identity(h.dim).select_rows(pivots)
-    w_pairs = [(kk, image_of_subspace(restrict, intersect(v, s))) for kk, v in h.weight_filtration.steps if kk <= j]
-    wf = Filtration.make(k, True, w_pairs)
-    f_pairs = [(p, image_of_subspace(restrict, intersect(h.hodge_filtration.at(p), s))) for p in h.hodge_filtration.jumps()]
-    f_pairs.append((h.hodge_filtration.max_index() + 1, Subspace.zero(k)))
-    ff = Filtration.make(k, False, f_pairs)
+    wf = h.weight_filtration.map_image(restrict, within=s)
+    ff = h.hodge_filtration.map_image(restrict, within=s)
     ops = tuple(op.select_rows(pivots) @ incl for op in h.operators)
-    partial = HodgeDatum(wf, ff, ops, (), h.twist_tag)
     pairings = {}
     for w, p in h.graded_pairings:
         if w > j:
             continue
-        gm_sub = partial.graded(w)
+        gm_sub = graded_maps(wf, w)
         gm = h.graded(w)
         if gm.dim == 0:
             continue
-        phi = gm_sub.project @ gm.section.select_rows(pivots)
-        pairings[w] = _transport_pairing(p, phi)
+        pairings[w] = p.transport(gm_sub.project @ gm.section.select_rows(pivots))
     return make_datum(wf, ff, ops, pairings, h.twist_tag), incl
 
 
@@ -587,23 +570,18 @@ def quotient_datum(h: HodgeDatum, j: int):
     s = h.weight_filtration.at(j)
     proj = quotient_projection(s)
     sec = quotient_section(s)
-    q = proj.rows
-    w_pairs = [(kk, image_of_subspace(proj, v)) for kk, v in h.weight_filtration.steps if kk > j]
-    wf = Filtration.make(q, True, w_pairs)
-    f_pairs = [(p, image_of_subspace(proj, h.hodge_filtration.at(p))) for p in h.hodge_filtration.jumps()]
-    ff = Filtration.make(q, False, f_pairs)
+    wf = h.weight_filtration.map_image(proj)
+    ff = h.hodge_filtration.map_image(proj)
     ops = tuple(proj @ op @ sec for op in h.operators)
-    partial = HodgeDatum(wf, ff, ops, (), h.twist_tag)
     pairings = {}
     for w, p in h.graded_pairings:
         if w <= j:
             continue
-        gm_q = partial.graded(w)
+        gm_q = graded_maps(wf, w)
         gm = h.graded(w)
         if gm.dim == 0:
             continue
-        phi = gm_q.project @ proj @ gm.section
-        pairings[w] = _transport_pairing(p, phi)
+        pairings[w] = p.transport(gm_q.project @ proj @ gm.section)
     return make_datum(wf, ff, ops, pairings, h.twist_tag), proj
 
 

@@ -111,30 +111,30 @@ def carlson_class(e: HodgeDatum, unit_covector=None) -> ExtensionClass:
     for row in wlow.basis.entries:
         if sum((c * x for c, x in zip(cov, row)), ZERO):
             raise ValueError("unit covector does not kill W_{-1}")
-    # F-preserving section: x in F^0 with cov(x) = 1.
-    f0 = e.hodge_filtration.at(0)
+    rep, _ = unit_section_difference(
+        e.hodge_filtration.at(0), cov, "no F-preserving section: the Hodge filtration misses the unit"
+    )
+    sub, _ = sub_truncate(e, -1)
+    return normalize_class(sub, wlow.coords_of(rep))
+
+
+def unit_section_difference(f0: Subspace, cov, missing: str) -> tuple:
+    """The Hodge representative of an extension of the unit whose quotient
+    map is the functional ``cov``: (s_F - s_Q, s_Q), where s_F is the
+    canonical vector of F^0 with cov(s_F) = 1 and s_Q the canonical rational
+    solution of re(cov)(s_Q) = 1.  Raises ValueError(missing) when F^0 has
+    no such vector."""
     coeffs = [sum((c * x for c, x in zip(cov, row)), ZERO) for row in f0.basis.entries]
     sol = solve(Matrix([coeffs]) if coeffs else Matrix.zeros(1, 0), [ONE])
     if sol is None:
-        raise ValueError("no F-preserving section: the Hodge filtration misses the unit")
-    s_f = [ZERO] * e.dim
+        raise ValueError(missing)
+    s_f = [ZERO] * f0.ambient
     for c, row in zip(sol, f0.basis.entries):
         s_f = [x + c * y for x, y in zip(s_f, row)]
-    # Rational section: canonical solution of cov(x) = 1.
     s_q = solve(Matrix([[x.re for x in cov]]), [ONE])
     if s_q is None:
         raise ValueError("unit covector vanishes identically")
-    rep_ambient = tuple(a - GaussScalar.of(b) for a, b in zip(s_f, s_q))
-    sub, incl = sub_truncate(e, -1)
-    rep_sub = _coords_in(wlow, rep_ambient)
-    return normalize_class(sub, rep_sub)
-
-
-def _coords_in(s: Subspace, vec) -> tuple:
-    red = s.reduce(vec)
-    if any(x for x in red):
-        raise ValueError("vector does not lie in the expected subspace")
-    return tuple(GaussScalar.of(vec[p]) for p in s.pivots())
+    return tuple(a - GaussScalar.of(b) for a, b in zip(s_f, s_q)), s_q
 
 
 def push_class(c: ExtensionClass, surj: Matrix, target: HodgeDatum) -> ExtensionClass:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, image_of_subspace
+from .linalg import Matrix, Subspace, image_of_subspace, intersect
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,39 @@ class Filtration:
         """Index shift: value at k of the result is the value at k - d."""
         return Filtration(self.ambient_dim, self.increasing, tuple((k + d, s) for k, s in self.steps))
 
-    def map_image(self, m: Matrix) -> "Filtration":
-        """Image filtration under a linear map (quotients, isomorphisms)."""
-        pairs = [(k, image_of_subspace(m, s)) for k, s in self.steps]
+    def map_image(self, m: Matrix, within: Subspace | None = None) -> "Filtration":
+        """Image filtration under a linear map: the value at k is
+        m(at(k)), or m(at(k) cap within), the filtration induced on a
+        subspace and carried into its coordinates, when ``within`` is given
+        (sub-objects, quotients, graded pieces, isomorphisms).  m is to map
+        ``within``, or the whole space, onto its target: only the stored
+        steps are mapped, and below them a decreasing result is the full
+        target.  Once a value is the full target (increasing) or zero
+        (decreasing), so are the later ones, which are not computed."""
+        end = m.rows if self.increasing else 0
+        pairs = []
+        for k, s in self.steps:
+            value = image_of_subspace(m, s if within is None else intersect(s, within))
+            pairs.append((k, value))
+            if value.dim == end:
+                break
         return Filtration.make(m.rows, self.increasing, pairs)
+
+    def dual(self) -> "Filtration":
+        """The filtration of annihilators on the dual space: the value at i is
+        ann(at(c - i)), with c = -1 for an increasing filtration and c = 1
+        for a decreasing one.  It changes where at(c - i) does, so the
+        indices on both sides of each jump suffice."""
+        c = -1 if self.increasing else 1
+        pairs = [(i, self.at(c - i).annihilator()) for k in self.jumps() for i in (c - k, c - k + 1)]
+        return Filtration.make(self.ambient_dim, self.increasing, pairs)
+
+    def is_shifted_by(self, op: Matrix, d: int) -> bool:
+        """op W_k within W_{k+d} for every k, for an increasing filtration:
+        d = 0 says that op preserves it, d = -2 that op lowers it by two as a
+        monodromy operator does.  Between the stored steps the left side is
+        constant and the right side can only grow, so the steps suffice."""
+        return all(self.at(k + d).contains_subspace(image_of_subspace(op, s)) for k, s in self.steps)
 
     def is_transverse(self, op: Matrix) -> bool:
         """Griffiths transversality op F^p within F^{p-1}, for a decreasing

@@ -23,7 +23,7 @@ per-entry coercion through the keyword-only ``_raw`` flag of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from .scalars import GaussScalar, ZERO, ONE
 
@@ -76,8 +76,10 @@ class Matrix:
         return Matrix(rows)
 
     @staticmethod
-    def column(vec) -> "Matrix":
-        return Matrix([[x] for x in vec])
+    def combination(coeffs, matrices) -> "Matrix":
+        """sum_j c_j M_j over equal-shape matrices, at least one, pairing the
+        coefficients with the matrices up to the shorter of the two."""
+        return reduce(Matrix.__add__, (m.scale(c) for c, m in zip(coeffs, matrices)))
 
     # -- basic algebra -------------------------------------------------
 
@@ -386,17 +388,6 @@ class Subspace:
             raise ValueError("vector not in subspace")
         v = [_coerce(x) for x in vec]
         return tuple(v[p] for p in self.pivots())
-
-    def vector_from_coords(self, coords) -> tuple:
-        coords = [_coerce(c) for c in coords]
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        out = [ZERO] * self.ambient
-        for c, row in zip(coords, self.basis.entries):
-            if c.is_zero():
-                continue
-            out = [x + c * y for x, y in zip(out, row)]
-        return tuple(out)
 
     def conjugate(self) -> "Subspace":
         # Conjugation of an RREF basis is again RREF (pivots stay 1).

@@ -22,8 +22,8 @@ from .datum import (
     graded_maps,
     graded_piece,
     make_datum,
-    matrix_inverse,
     shear_operators,
+    weight_symmetry,
 )
 from .filtration import Filtration
 from .linalg import (
@@ -107,10 +107,12 @@ def exp_twisted_combination(operators, y, dim: int | None = None) -> Matrix:
         if dim is None:
             raise ValueError("dimension required for the empty combination")
         return Matrix.identity(dim)
-    total = Matrix.zeros(operators[0].rows, operators[0].rows)
-    for yj, op in zip(y, operators):
-        total = total + op.scale(imaginary(yj))
-    return exp_nilpotent(total)
+    return exp_nilpotent(Matrix.combination([imaginary(yj) for yj in y], operators))
+
+
+def orbit_point(f: Filtration, operators, y) -> Filtration:
+    """The point exp(sum_j i*y_j*N_j) F of the nilpotent orbit."""
+    return f.map_image(exp_twisted_combination(operators, y, f.ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +186,7 @@ def is_polarized_hs(w: int, f: Filtration, s: Pairing) -> bool:
     n = f.ambient_dim
     if s.matrix.rows != n:
         raise ValueError("pairing size does not match the space")
-    if s.twist != -w or s.symmetry != (-1) ** (w % 2):
+    if s.twist != -w or s.symmetry != weight_symmetry(w):
         raise ValueError("pairing has wrong twist or symmetry for the weight")
     if not s.is_perfect():
         raise ValueError("pairing is degenerate")
@@ -322,15 +324,10 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
         count += (k - w + 1) * prim.dim
         incl = gm.section @ prim.basis.transpose()  # primitive coords -> V
         pair_matrix = incl.transpose() @ o.pairing.matrix @ powers[k - w] @ incl
-        pairing = Pairing(pair_matrix, -k, (-1) ** (k % 2))
+        pairing = Pairing.of_weight(pair_matrix, k)
         pivots = prim.pivots()
         sel = Matrix.identity(gm.dim).select_rows(pivots)
-        f_pairs = []
-        for p in o.hodge_filtration.jumps():
-            fp_gr = image_of_subspace(gm.project, intersect(o.hodge_filtration.at(p), wfilt.at(k)))
-            f_pairs.append((p, image_of_subspace(sel, intersect(fp_gr, prim))))
-        f_pairs.append((o.hodge_filtration.max_index() + 1, Subspace.zero(prim.dim)))
-        ff = Filtration.make(prim.dim, False, f_pairs)
+        ff = o.hodge_filtration.map_image(gm.project, within=wfilt.at(k)).map_image(sel, within=prim)
         ops = tuple(gm.project.select_rows(pivots) @ op @ gm.section @ prim.basis.transpose() for op in o.operators[1:])
         parts.append(PrimitivePart(k, prim, pairing, ff, ops))
     return PrimitiveDecomposition(w, tuple(parts), count == n)
@@ -380,9 +377,7 @@ def lefschetz_graded_pairings(o: OrbitDatum):
         if len(cols) != gm.dim:
             raise ValueError(f"Lefschetz components do not exhaust gr at weight {k}")
         phi = Matrix.from_rows(list(zip(*cols)), len(cols))
-        src = Matrix.block_diag(*blocks)
-        phi_inv = matrix_inverse(phi)
-        pairings[k] = Pairing(phi_inv.transpose() @ src @ phi_inv, -k, (-1) ** (k % 2))
+        pairings[k] = Pairing.of_weight(Matrix.block_diag(*blocks), k).transport(phi)
     return pairings
 
 
@@ -409,8 +404,7 @@ def sampled_orbit_membership(o: OrbitDatum, y_grid=None, policy: Policy | None =
     # filtration is tested once per call.
     tested = {}
     for y in y_grid:
-        e = exp_twisted_combination(o.operators, y, o.dim)
-        fy = o.hodge_filtration.map_image(e)
+        fy = orbit_point(o.hodge_filtration, o.operators, y)
         if fy not in tested:
             tested[fy] = is_polarized_hs(o.weight, fy, o.pairing)
         points.append((tuple(y), tested[fy]))
@@ -476,10 +470,7 @@ def _cone_monodromy_constant(operators, policy: Policy) -> bool:
     pts = policy.grid_points(len(operators))
     ref = None
     for y in pts[: max(3, len(policy.grid))]:
-        total = Matrix.zeros(operators[0].rows, operators[0].rows)
-        for yj, op in zip(y, operators):
-            total = total + op.scale(Fraction(yj))
-        filt = weight_monodromy(total).filtration
+        filt = weight_monodromy(Matrix.combination([Fraction(yj) for yj in y], operators)).filtration
         if ref is None:
             ref = filt
         elif filt != ref:
@@ -521,9 +512,7 @@ def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None) -> Verdict:
         graded_ok = graded_ok and verdict.passed
     sampled_ok = True
     for y in policy.grid_points(len(h.operators)):
-        e = exp_twisted_combination(h.operators, y, h.dim)
-        fy = h.hodge_filtration.map_image(e)
-        moved = make_datum(h.weight_filtration, fy, [], {}, h.twist_tag)
+        moved = make_datum(h.weight_filtration, orbit_point(h.hodge_filtration, h.operators, y), [], {}, h.twist_tag)
         ok = is_mhs(moved)
         sampled_ok = sampled_ok and ok
     evidence.append(("sampled_mhs", sampled_ok, ""))
@@ -630,17 +619,15 @@ def operator_sum_facts(h: HodgeDatum, policy: Policy | None = None) -> OperatorS
 def _unpolarized_mixed_ok(w: Filtration, operators, f: Filtration, policy: Policy) -> bool:
     """Pairing-free mixed-orbit shadow: partial-sum relative filtrations
     exist and the exp-moved filtration is an MHS at each grid point."""
-    for op in operators:
-        for _, s in w.steps:
-            if not s.contains_subspace(image_of_subspace(op, s)):
-                return False
+    if not all(w.is_shifted_by(op, 0) for op in operators):
+        return False
     adm = admissibility_report(w, operators)
     if not adm.partial_sums_exist:
         return False
     for y in policy.grid_points(len(operators)):
-        e = exp_twisted_combination(operators, y, w.ambient_dim)
+        fy = orbit_point(f, operators, y)
         try:
-            moved = make_datum(w, f.map_image(e), [], {}, 0)
+            moved = make_datum(w, fy, [], {}, 0)
         except ValueError:
             return False
         if not is_mhs(moved):

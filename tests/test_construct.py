@@ -170,6 +170,9 @@ def test_embed_pure_base_case():
     assert cert.target.dim == top.dim
     assert cert.injection == Matrix.identity(top.dim)
     assert cert.target.operators[0].is_zero()
+    # On pure data gr_0 has the coordinates of V, so the target polarization
+    # is the graded pairing itself.
+    assert cert.target.pairing == top.pairing(0)
 
 
 def test_embed_twist_window_gives_rank_two_orbit():

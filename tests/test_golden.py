@@ -6,7 +6,10 @@ digest below pins that text for ``weight_monodromy``, ``relative_monodromy``
 and ``check_pure_orbit``; a rewrite of the linear-algebra kernel, or any
 shortcut in it, must leave it unchanged.  A second digest pins the structured
 report, exit code and written document of every CLI command on every catalog
-document, so a refactor of the pipelines must leave those unchanged too.
+document, so a refactor of the pipelines must leave those unchanged too.  A
+third pins the verdicts and certificates of the construction on seeded
+two-weight inputs, where the catalog alone leaves the sampled multi-operator
+checks untested.
 """
 
 import contextlib
@@ -16,8 +19,9 @@ import random
 
 from hodgeorbit import catalog, docio
 from hodgeorbit.cli import main
+from hodgeorbit.construct import embed_general, surject_from_pure
 from hodgeorbit.monodromy import relative_monodromy, weight_monodromy
-from hodgeorbit.verify import Policy, Verdict, check_pure_orbit
+from hodgeorbit.verify import Policy, Verdict, check_mixed_orbit, check_pure_orbit
 
 # Taken from the kernel that eliminated on every call, before the shortcuts
 # on the zero and full subspaces.
@@ -130,3 +134,46 @@ def test_cli_outputs_match_golden_digest(tmp_path):
     for record in cli_transcript(tmp_path):
         h.update(record.encode("utf-8") + b"\n")
     assert h.hexdigest() == GOLDEN_CLI_SHA256
+
+
+# -- the construction on seeded two-weight inputs ------------------------------
+
+# Taken from the code before the pairing transports, induced and dual
+# filtrations, filtration shifts and orbit points were folded.
+GOLDEN_CONSTRUCT_SHA256 = "4b78ca51f56856b1b65cbcabe58adf857583bf0e523d30421effdb0cc19c9d3e"
+
+SEEDED_PROFILE = ((0, 1), (-1, 2))
+# check_mixed_orbit refutes this input at both operator counts, yet both of
+# its certificates verify: a multi-operator verdict rests on sampling.
+REFUTED_BUT_VERIFIED_SEED = 271041745
+
+
+def construct_lines():
+    """One line per seeded input: the check_mixed_orbit status, then for
+    embed_general and surject_from_pure the verified flag and the digest of
+    the serialized certificate, or the text of the ValueError raised."""
+    rng = random.Random(20221221)
+    inputs = [(rng.randrange(2**31), n_ops) for n_ops in (1, 2) for _ in range(12)]
+    inputs += [(REFUTED_BUT_VERIFIED_SEED, n_ops) for n_ops in (1, 2)]
+    policy = Policy()
+    lines = []
+    for seed, n_ops in inputs:
+        h = catalog.gen_random_mhs(seed, SEEDED_PROFILE, n_ops)
+        parts = [f"seed={seed} n_ops={n_ops} {check_mixed_orbit(h, policy).status}"]
+        for build in (embed_general, surject_from_pure):
+            try:
+                cert = build(h, policy)
+            except ValueError as exc:
+                parts.append(f"{build.__name__} raised {exc}")
+                continue
+            digest = hashlib.sha256(docio.serialize_certificate(cert).encode("utf-8")).hexdigest()
+            parts.append(f"{build.__name__} verified={cert.verified} sha={digest}")
+        lines.append(" ".join(parts))
+    return lines
+
+
+def test_seeded_construct_outputs_match_golden_digest():
+    h = hashlib.sha256()
+    for line in construct_lines():
+        h.update(line.encode("utf-8") + b"\n")
+    assert h.hexdigest() == GOLDEN_CONSTRUCT_SHA256

@@ -304,7 +304,7 @@ def _cases():
             out.append((f"{name} {y}", o.weight, fy, o.pairing))
             g = random_invertible(rng, o.dim)
             moved = fy.map_image(g)
-            out.append((f"{name} {y} rational", o.weight, moved, o.pairing.base_change(matrix_inverse(g))))
+            out.append((f"{name} {y} rational", o.weight, moved, o.pairing.transport(g)))
             out.append((f"{name} {y} rational, old pairing", o.weight, moved, o.pairing))
             out.append((f"{name} {y} gaussian", o.weight, fy.map_image(_complex_invertible(rng, o.dim)), o.pairing))
             iso = _complex_isometry(rng, o.pairing)

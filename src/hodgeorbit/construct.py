@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 from .datum import (
     HodgeDatum,
@@ -269,85 +270,39 @@ def solve_selfduality(ext: SelfDualExtension) -> Pairing:
     behaviour: the gr_{-1} polarization, the identity on the unit, and
     multiplication by -1 on the bottom line.
 
-    Solved as an exact rational linear system; uniqueness holds because the
-    homogeneous system (a W-level-dropping morphism) only has the zero
-    solution, which is checked.
+    Solved as an exact rational linear system in the entries of its matrix
+    G, read row by row (G[r][c] is unknown r * d + c): u^T G v is then the
+    row u kron v, and N^T G + G N is (N^T kron I + I kron N^T) applied to G.
+    Uniqueness holds because the homogeneous system (a W-level-dropping
+    morphism) only has the zero solution, which is checked.
     """
     h = ext.base
     d = ext.datum.dim
-    n = h.dim
-    rows = []
-    rhs = []
-
-    def add_bilinear_zero(u, v):
-        row = [ZERO] * (d * d)
-        for r in range(d):
-            if GaussScalar.of(u[r]).is_zero():
-                continue
-            for c in range(d):
-                row[r * d + c] = GaussScalar.of(u[r]) * GaussScalar.of(v[c])
-        re_row = [x.re for x in row]
-        im_row = [x.im for x in row]
-        rows.append(re_row)
-        rhs.append(Fraction(0))
-        if any(im_row):
-            rows.append(im_row)
-            rhs.append(Fraction(0))
-
-    w1 = ext.datum.weight_filtration.at(-1)
-    w2 = ext.datum.weight_filtration.at(-2)
-    for u in w1.basis.entries:
-        for v in w2.basis.entries:
-            add_bilinear_zero(u, v)
-            add_bilinear_zero(v, u)
+    w1 = ext.datum.weight_filtration.at(-1).basis
+    w2 = ext.datum.weight_filtration.at(-2).basis
+    zero_blocks = [w1.kron(w2), w2.kron(w1)]
     # F-compatibility: the pairing must kill F^p x F^{-p} for every p
     # (p = 0 is the isotropy of F^0; other p matter for wide Hodge ranges).
+    # G is rational, so a complex block stands for its real and imaginary
+    # rows, whose span is that of the block and its conjugate.
     ff = ext.datum.hodge_filtration
     for p in range(-ff.max_index(), ff.max_index() + 1):
-        fp = ff.at(p)
-        fmp = ff.at(-p)
-        for u in fp.basis.entries:
-            for v in fmp.basis.entries:
-                add_bilinear_zero(u, v)
+        block = ff.at(p).basis.kron(ff.at(-p).basis)
+        zero_blocks += [block] if block.is_rational() else [block, block.conjugate()]
+    one = Matrix.identity(d)
     for op in ext.datum.operators:
-        # N^T G + G N = 0, entrywise.
-        for a in range(d):
-            for b in range(d):
-                row = [Fraction(0)] * (d * d)
-                for r in range(d):
-                    row[r * d + b] += op.entries[r][a].re
-                for c in range(d):
-                    row[a * d + c] += op.entries[c][b].re
-                if any(row):
-                    rows.append(row)
-                    rhs.append(Fraction(0))
-
-    def add_value(u, v, value):
-        row = [Fraction(0)] * (d * d)
-        for r in range(d):
-            ur = GaussScalar.of(u[r])
-            if ur.is_zero():
-                continue
-            for c in range(d):
-                vc = GaussScalar.of(v[c])
-                if not vc.is_zero():
-                    row[r * d + c] += (ur * vc).re
-        rows.append(row)
-        rhs.append(Fraction(value))
-
-    e_vec = [ZERO] * d
-    e_vec[d - 1] = ONE
-    add_value(e_vec, ext.unit_generator, 1)
-    add_value(ext.unit_generator, e_vec, -1)
+        zero_blocks.append(op.transpose().kron(one) + one.kron(op.transpose()))
+    # Prescribed values: <e, g> = 1 and <g, e> = -1 for the unit vector e
+    # and the bottom generator g, and the gr_{-1} polarization on the
+    # canonical sections.
+    e = Matrix([[0] * (d - 1) + [1]])
+    g = Matrix([ext.unit_generator])
     q_maps = graded_maps(h.weight_filtration, -1)
-    q_pairing = h.pairing(-1)
-    for a in range(q_maps.dim):
-        ua = tuple(q_maps.section.col(a)) + (ZERO,)
-        for b in range(q_maps.dim):
-            ub = tuple(q_maps.section.col(b)) + (ZERO,)
-            add_value(ua, ub, q_pairing.matrix.entries[a][b].re)
-
-    coeff = Matrix.from_rows(rows, d * d)
+    sec = Matrix.block_diag(q_maps.section.transpose(), Matrix.zeros(0, 1))
+    grams = h.pairing(-1).matrix.entries if q_maps.dim else ()
+    homogeneous = reduce(Matrix.stack, zero_blocks)
+    coeff = homogeneous.stack(e.kron(g)).stack(g.kron(e)).stack(sec.kron(sec))
+    rhs = [0] * homogeneous.rows + [1, -1] + [x for row in grams for x in row]
     sol = solve(coeff, rhs)
     if sol is None:
         raise ValueError("self-duality system has no solution")
@@ -355,7 +310,7 @@ def solve_selfduality(ext: SelfDualExtension) -> Pairing:
     # vanishing graded data, hence zero.
     if kernel(coeff).dim != 0:
         raise AssertionError("self-duality solution is not unique")
-    gmat = Matrix.from_rows([[sol[r * d + c] for c in range(d)] for r in range(d)], d)
+    gmat = Matrix([sol[r * d : (r + 1) * d] for r in range(d)], d)
     if gmat.transpose() != -gmat:
         raise AssertionError("self-duality pairing is not antisymmetric")
     if gmat.det().is_zero():
@@ -511,13 +466,7 @@ def embed_two_weights(h: HodgeDatum, top_weight=None, policy: Policy | None = No
     new_op = Matrix.identity(bdim).kron(ext.log_operator)
     # Injection: x -> sum_i e_i x (lambda_i x x) pushed into the extension.
     stage = Matrix.identity(bdim).kron(ext.inclusion @ map_tbh)
-    unit_map_rows = []
-    n = h.dim
-    for i in range(bdim):
-        for i2 in range(bdim):
-            for t in range(n):
-                unit_map_rows.append([ONE if (i == i2 and s == t) else ZERO for s in range(n)])
-    unit_map = Matrix.from_rows(unit_map_rows, n)
+    unit_map = trace.transpose().kron(Matrix.identity(h.dim))
     inj = stage @ unit_map
     orbit = OrbitDatum(w, orbit_pairing, (new_op,) + big.operators, big.hodge_filtration, big.twist_tag)
     return _certify_with_shears(h, orbit, inj, policy)
@@ -640,14 +589,7 @@ def _glue_extension(h: HodgeDatum, w: int, incl_low: Matrix, low_cert: Embedding
         (w, Subspace.full(nj)),
     ]
     wf = Filtration.make(nj, True, w_pairs)
-    f_pairs = []
-    for p in sorted(set(h.hodge_filtration.jumps()) | set(i_orbit.hodge_filtration.jumps())):
-        fh = h.hodge_filtration.at(p)
-        fi = i_orbit.hodge_filtration.at(p)
-        vecs = [tuple(map_h.apply(row)) for row in fh.basis.entries]
-        vecs += [tuple(map_i.apply(row)) for row in fi.basis.entries]
-        f_pairs.append((p, Subspace.from_vectors(nj, vecs)))
-    ff = Filtration.make(nj, False, f_pairs)
+    ff = h.hodge_filtration.direct_sum(i_orbit.hodge_filtration).map_image(proj)
     ops = []
     pieces = [(Matrix.zeros(nh, nh), i_orbit.operators[0])]
     for jdx in range(len(h.operators)):

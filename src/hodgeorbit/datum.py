@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .linalg import (
     Matrix,
@@ -26,8 +27,6 @@ from .linalg import (
     intersect,
     quotient_projection,
     quotient_section,
-    subspace_sum,
-    tensor_subspace,
 )
 from .filtration import Filtration, trivial_weight_filtration
 from .scalars import GaussScalar, ONE, ZERO
@@ -408,35 +407,14 @@ def tate_twist(h: HodgeDatum, r: int) -> HodgeDatum:
     return make_datum(wf, ff, h.operators, pairings, h.twist_tag + r)
 
 
-def _direct_sum_subspace(s: Subspace, t: Subspace) -> Subspace:
-    return Subspace.from_vectors(s.ambient + t.ambient, Matrix.block_diag(s.basis, t.basis).entries)
-
-
 def tensor(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
     """Tensor product with Leibniz operators and multiplicative pairings."""
     if len(a.operators) != len(b.operators):
         raise ValueError("operator counts differ")
-    n = a.dim * b.dim
-    wa, wb = a.weight_filtration, b.weight_filtration
     if a.dim == 0 or b.dim == 0:
         return zero_datum(0, len(a.operators), a.twist_tag + b.twist_tag)
-    w_pairs = []
-    for k in range(wa.min_index() + wb.min_index(), wa.max_index() + wb.max_index() + 1):
-        total = Subspace.zero(n)
-        for i in range(wa.min_index(), wa.max_index() + 1):
-            total = subspace_sum(total, tensor_subspace(wa.at(i), wb.at(k - i)))
-        w_pairs.append((k, total))
-    wf = Filtration.make(n, True, w_pairs)
-    fa, fb = a.hodge_filtration, b.hodge_filtration
-    f_pairs = []
-    lo = (fa.min_index() - 1) + (fb.min_index() - 1)
-    hi = fa.max_index() + fb.max_index()
-    for p in range(lo, hi + 1):
-        total = Subspace.zero(n)
-        for i in range(fa.min_index() - 1, fa.max_index() + 1):
-            total = subspace_sum(total, tensor_subspace(fa.at(i), fb.at(p - i)))
-        f_pairs.append((p, total))
-    ff = Filtration.make(n, False, f_pairs)
+    wf = a.weight_filtration.tensor(b.weight_filtration)
+    ff = a.hodge_filtration.tensor(b.hodge_filtration)
     ia, ib = Matrix.identity(a.dim), Matrix.identity(b.dim)
     ops = tuple(na.kron(ib) + ia.kron(nb) for na, nb in zip(a.operators, b.operators))
     pairings = {}
@@ -444,30 +422,23 @@ def tensor(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
         gm = graded_maps(wf, w)
         if gm.dim == 0:
             continue
-        cols = []
+        sections = []
         blocks = []
         ok = True
-        for i in wa.jumps():
-            j = w - i
-            ga, gb = a.graded(i), b.graded(j)
+        for i in a.weights():
+            ga, gb = a.graded(i), b.graded(w - i)
             if ga.dim == 0 or gb.dim == 0:
                 continue
-            pa, pb = a.pairing(i), b.pairing(j)
+            pa, pb = a.pairing(i), b.pairing(w - i)
             if pa is None or pb is None:
                 ok = False
                 break
+            sections.append(ga.section.kron(gb.section))
             blocks.append(pa.matrix.kron(pb.matrix))
-            for alpha in range(ga.dim):
-                ua = ga.section.col(alpha)
-                for beta in range(gb.dim):
-                    vb = gb.section.col(beta)
-                    vec = tuple(x * y for x in ua for y in vb)
-                    cols.append(gm.project.apply(vec))
-        if not ok or not cols:
-            continue
-        phi = Matrix.from_rows(list(zip(*cols)), len(cols))
-        if phi.rows != gm.dim or len(cols) != gm.dim:
+        if not ok or sum(s.cols for s in sections) != gm.dim:
             continue  # graded piece not exhausted by paired blocks
+        # The basis change gr_i(a) x gr_{w-i}(b) -> gr_w, block by block.
+        phi = gm.project @ reduce(Matrix.stack, [s.transpose() for s in sections]).transpose()
         pairings[w] = Pairing.of_weight(Matrix.block_diag(*blocks), w).transport(phi)
     return make_datum(wf, ff, ops, pairings, a.twist_tag + b.twist_tag)
 
@@ -477,15 +448,8 @@ def direct_sum(a: HodgeDatum, b: HodgeDatum) -> HodgeDatum:
         raise ValueError("operator counts differ")
     if a.twist_tag != b.twist_tag:
         raise ValueError("twist tags differ")
-    n = a.dim + b.dim
-    ks = sorted(set(a.weight_filtration.jumps()) | set(b.weight_filtration.jumps()))
-    wf = Filtration.make(
-        n, True, [(k, _direct_sum_subspace(a.weight_filtration.at(k), b.weight_filtration.at(k))) for k in ks]
-    )
-    ps = sorted(set(a.hodge_filtration.jumps()) | set(b.hodge_filtration.jumps()))
-    ff = Filtration.make(
-        n, False, [(p, _direct_sum_subspace(a.hodge_filtration.at(p), b.hodge_filtration.at(p))) for p in ps]
-    )
+    wf = a.weight_filtration.direct_sum(b.weight_filtration)
+    ff = a.hodge_filtration.direct_sum(b.hodge_filtration)
     ops = tuple(Matrix.block_diag(na, nb) for na, nb in zip(a.operators, b.operators))
     pairings = {}
     for w in wf.jumps():
@@ -604,24 +568,8 @@ def pushout(f: Matrix, g: Matrix, a: HodgeDatum, b: HodgeDatum, c: HodgeDatum):
     sec = quotient_section(rel)
     map_b = proj @ Matrix.block_diag(Matrix.identity(b.dim), Matrix.zeros(c.dim, 0))
     map_c = proj @ Matrix.block_diag(Matrix.zeros(b.dim, 0), Matrix.identity(c.dim))
-    ks = sorted(set(b.weight_filtration.jumps()) | set(c.weight_filtration.jumps()))
-    wf = Filtration.make(
-        proj.rows,
-        True,
-        [
-            (k, image_of_subspace(proj, _direct_sum_subspace(b.weight_filtration.at(k), c.weight_filtration.at(k))))
-            for k in ks
-        ],
-    )
-    ps = sorted(set(b.hodge_filtration.jumps()) | set(c.hodge_filtration.jumps()))
-    ff = Filtration.make(
-        proj.rows,
-        False,
-        [
-            (p, image_of_subspace(proj, _direct_sum_subspace(b.hodge_filtration.at(p), c.hodge_filtration.at(p))))
-            for p in ps
-        ],
-    )
+    wf = b.weight_filtration.direct_sum(c.weight_filtration).map_image(proj)
+    ff = b.hodge_filtration.direct_sum(c.hodge_filtration).map_image(proj)
     ops = []
     for nb, nc in zip(b.operators, c.operators):
         big = Matrix.block_diag(nb, nc)

@@ -37,6 +37,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    """A JSON array field."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    """A JSON object field."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, not {value!r}")
+    return value
+
+
 def _scalar_out(x: GaussScalar):
     re, im = x.re, x.im
     return [[re.numerator, re.denominator], [im.numerator, im.denominator]]
@@ -45,6 +59,8 @@ def _scalar_out(x: GaussScalar):
 def _scalar_in(obj) -> GaussScalar:
     try:
         (rn, rd), (im_n, im_d) = obj
+        if any(isinstance(x, bool) for x in (rn, rd, im_n, im_d)):
+            raise TypeError("booleans are not integers")
         return GaussScalar(Fraction(rn, rd), Fraction(im_n, im_d))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {obj!r}: {exc}")
@@ -57,9 +73,13 @@ def _matrix_out(m: Matrix):
 def _matrix_in(obj) -> Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError("matrix must be an object with entries")
-    entries = [[_scalar_in(x) for x in row] for row in obj["entries"]]
-    m = Matrix(entries, obj.get("cols"))
-    if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
+    entries = [[_scalar_in(x) for x in _list(row, "matrix row")] for row in _list(obj["entries"], "matrix entries")]
+    shape = {key: _integer(obj[key], f"matrix {key}") for key in ("rows", "cols") if key in obj}
+    try:
+        m = Matrix(entries, shape.get("cols"))
+    except ValueError as exc:
+        raise ParseError(f"bad matrix: {exc}")
+    if m.rows != shape.get("rows", m.rows) or m.cols != shape.get("cols", m.cols):
         raise ParseError("matrix shape disagrees with its entries")
     return m
 
@@ -69,9 +89,10 @@ def _filtration_out(f: Filtration, key: str):
 
 
 def _filtration_in(obj, ambient: int, increasing: bool, key: str) -> Filtration:
+    name = "weight_filtration" if increasing else "hodge_filtration"
     pairs = []
-    for step in obj:
-        if key not in step:
+    for step in _list(obj, name):
+        if key not in _object(step, f"{name} step"):
             raise ParseError(f"filtration step missing index {key!r}")
         basis = _matrix_in(step["basis"])
         pairs.append((_integer(step[key], f"filtration index {key!r}"), Subspace.from_matrix_rows(basis)))
@@ -87,8 +108,9 @@ def _pairing_out(p: Pairing, weight):
 
 def _pairing_in(obj) -> Pairing:
     twist, symmetry = _integer(obj["twist"], "pairing twist"), _integer(obj["symmetry"], "pairing symmetry")
+    matrix = _matrix_in(obj["matrix"])
     try:
-        return Pairing(_matrix_in(obj["matrix"]), twist, symmetry)
+        return Pairing(matrix, twist, symmetry)
     except ValueError as exc:
         raise ValidationError(f"invalid pairing: {exc}")
 
@@ -160,11 +182,20 @@ def parse(text: str):
         raise ParseError(f"missing field {exc}")
 
 
+def _operators_in(doc) -> tuple:
+    return tuple(_matrix_in(m) for m in _list(doc.get("operators", []), "operators"))
+
+
+def _pairings_in(doc) -> list:
+    """The pairing objects of a datum document."""
+    return [_object(p, "pairings entry") for p in _list(doc.get("pairings", []), "pairings")]
+
+
 def _parse_orbit(doc) -> OrbitDatum:
     dim = _integer(doc["dim"], "dim")
     ff = _filtration_in(doc["hodge_filtration"], dim, False, "p")
-    ops = tuple(_matrix_in(m) for m in doc.get("operators", []))
-    pairings = [p for p in doc.get("pairings", []) if p.get("weight") == "global"]
+    ops = _operators_in(doc)
+    pairings = [p for p in _pairings_in(doc) if p.get("weight") == "global"]
     if len(pairings) != 1:
         raise ValidationError("orbit documents need exactly one global pairing")
     pairing = _pairing_in(pairings[0])
@@ -179,10 +210,10 @@ def _parse_mixed(doc):
     dim = _integer(doc["dim"], "dim")
     wf = _filtration_in(doc["weight_filtration"], dim, True, "k")
     ff = _filtration_in(doc["hodge_filtration"], dim, False, "p")
-    ops = tuple(_matrix_in(m) for m in doc.get("operators", []))
+    ops = _operators_in(doc)
     graded = {}
     global_pairing = None
-    for p in doc.get("pairings", []):
+    for p in _pairings_in(doc):
         if p.get("weight") == "global":
             global_pairing = _pairing_in(p)
         else:
@@ -250,7 +281,7 @@ def parse_certificate(text: str):
     if doc.get("format_version") != FORMAT_CERTIFICATE:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
-    if kind not in _CERTIFICATE_SIDES:
+    if not isinstance(kind, str) or kind not in _CERTIFICATE_SIDES:
         raise ParseError(f"unknown certificate kind {kind!r}")
     for key in ("source", "target", "map"):
         if key not in doc:

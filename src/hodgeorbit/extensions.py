@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datum import HodgeDatum, Pairing, make_datum, sub_truncate
-from .filtration import Filtration
+from .datum import HodgeDatum, make_datum, sub_truncate, tate_object
 from .linalg import Matrix, Subspace, echelonize, solve
 from .scalars import GaussScalar, ONE, ZERO
 
@@ -173,17 +172,12 @@ def build_unit_extension(q: HodgeDatum, rep, monodromy_parts=None, unit_pairing:
     parts = monodromy_parts if monodromy_parts is not None else [[0] * n for _ in q.operators]
     if len(parts) != len(q.operators):
         raise ValueError("one monodromy part per operator required")
-    w_pairs = [(k, _embed_sub(s, n + 1)) for k, s in q.weight_filtration.steps]
-    w_pairs.append((0, Subspace.full(n + 1)))
-    wf = Filtration.make(n + 1, True, w_pairs)
-    f_pairs = []
-    for p in sorted(set(q.hodge_filtration.jumps()) | {0, 1}):
-        fp = q.hodge_filtration.at(p)
-        vecs = [tuple(row) + (ZERO,) for row in fp.basis.entries]
-        if p <= 0:
-            vecs.append(rep + (ONE,))
-        f_pairs.append((p, Subspace.from_vectors(n + 1, vecs)))
-    ff = Filtration.make(n + 1, False, f_pairs)
+    unit = tate_object(0)
+    wf = q.weight_filtration.direct_sum(unit.weight_filtration)
+    # F is that of q + unit, moved by the automorphism fixing q and sending
+    # the unit vector e to rep + e.
+    move = Matrix([list(row) + [r] for row, r in zip(Matrix.identity(n).entries, rep)] + [[0] * n + [1]])
+    ff = q.hodge_filtration.direct_sum(unit.hodge_filtration).map_image(move)
     ops = []
     for op, part in zip(q.operators, parts):
         rows = [list(row) + [GaussScalar.of(part[i])] for i, row in enumerate(op.entries)]
@@ -191,10 +185,6 @@ def build_unit_extension(q: HodgeDatum, rep, monodromy_parts=None, unit_pairing:
         ops.append(Matrix.from_rows(rows, n + 1))
     pairings = {w: p for w, p in q.graded_pairings}
     if unit_pairing:
-        pairings[0] = Pairing(Matrix([[1]]), 0, 1)
+        pairings[0] = unit.pairing(0)
     return make_datum(wf, ff, ops, pairings, q.twist_tag)
 
-
-def _embed_sub(s: Subspace, new_ambient: int) -> Subspace:
-    pad = new_ambient - s.ambient
-    return Subspace.from_vectors(new_ambient, [tuple(row) + (ZERO,) * pad for row in s.basis.entries])

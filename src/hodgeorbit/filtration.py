@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Subspace, image_of_subspace, intersect
+from .linalg import Matrix, Subspace, image_of_subspace, intersect, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,33 @@ class Filtration:
         c = -1 if self.increasing else 1
         pairs = [(i, self.at(c - i).annihilator()) for k in self.jumps() for i in (c - k, c - k + 1)]
         return Filtration.make(self.ambient_dim, self.increasing, pairs)
+
+    def direct_sum(self, other: "Filtration") -> "Filtration":
+        """The filtration of the direct sum, this space first: the value at k
+        is at(k) + other.at(k), which changes only at the jumps of the two.
+        The block sum of two RREF bases is the RREF basis of the sum."""
+        n = self.ambient_dim + other.ambient_dim
+        ks = sorted(set(self.jumps()) | set(other.jumps()))
+        blocks = [(k, Subspace(n, Matrix.block_diag(self.at(k).basis, other.at(k).basis))) for k in ks]
+        return Filtration.make(n, self.increasing, blocks)
+
+    def tensor(self, other: "Filtration") -> "Filtration":
+        """The filtration of the tensor product in Kronecker coordinates: the
+        value at k is the sum over i of at(i) x other.at(k - i).  The
+        distinct terms have i from the first jump to the last, one lower for
+        a decreasing filtration (where at(i) is still the whole space), and
+        the values change only for k in the matching range.  The Kronecker
+        product of two RREF bases is the RREF basis of the product."""
+        n = self.ambient_dim * other.ambient_dim
+        below = 0 if self.increasing else 1
+        lo, hi = self.min_index() - below, self.max_index()
+        pairs = []
+        for k in range(lo + other.min_index() - below, hi + other.max_index() + 1):
+            total = Subspace.zero(n)
+            for i in range(lo, hi + 1):
+                total = subspace_sum(total, Subspace(n, self.at(i).basis.kron(other.at(k - i).basis)))
+            pairs.append((k, total))
+        return Filtration.make(n, self.increasing, pairs)
 
     def is_shifted_by(self, op: Matrix, d: int) -> bool:
         """op W_k within W_{k+d} for every k, for an increasing filtration:

@@ -192,11 +192,20 @@ class Matrix:
         return Matrix(self.entries + other.entries, self.cols, _raw=True)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; (A kron B)(e_i x e_j) = A e_i x B e_j."""
+        """Kronecker product; (A kron B)(e_i x e_j) = A e_i x B e_j, with
+        e_i x e_j the basis vector at i * other.cols + j.  A zero entry of
+        A gives a zero block without multiplying, as in ``@``.
+
+        Read a matrix unknown X row by row, X[r][c] at r * cols + c: then
+        vec(A X B) = (A kron B^T) vec(X), and u^T X v is the row u kron v."""
+        zeros = (ZERO,) * other.cols
         out = []
         for arow in self.entries:
             for brow in other.entries:
-                out.append(tuple(a * b for a in arow for b in brow))
+                row = []
+                for a in arow:
+                    row.extend(zeros if a.is_zero() else [a * b for b in brow])
+                out.append(tuple(row))
         return Matrix(tuple(out), self.cols * other.cols, _raw=True)
 
     @staticmethod
@@ -483,15 +492,6 @@ def graded_coordinates(top: Subspace, low: Subspace):
     proj_low = quotient_projection(low)
     gr = image_of_subspace(proj_low, top)
     return proj_low.select_rows(gr.pivots()), quotient_section(low) @ gr.basis.transpose()
-
-
-def tensor_subspace(a: Subspace, b: Subspace) -> Subspace:
-    """span{s x t} inside the Kronecker-indexed product space."""
-    vecs = []
-    for u in a.basis.entries:
-        for v in b.basis.entries:
-            vecs.append(tuple(x * y for x in u for y in v))
-    return _span(a.ambient * b.ambient, vecs)
 
 
 def solve(m: Matrix, rhs) -> tuple | None:

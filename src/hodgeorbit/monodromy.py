@@ -9,9 +9,10 @@ The relative filtration M(N, W) is computed by peeling the bottom weight
 layer A = W_a: writing V as an extension of B = V/A, a filtered lift of the
 recursively computed M on B is a single linear unknown phi: B -> A, and the
 compatibility of N with the candidate filtration is a linear constraint
-system in phi.  The system is solvable iff the relative filtration exists;
-any solution produces it, and the output is verified against the defining
-axioms regardless.
+system in the entries of phi, read row by row and built from Kronecker
+products (see ``Matrix.kron``).  The system is solvable iff the relative
+filtration exists; any solution produces it, and the output is verified
+against the defining axioms regardless.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .linalg import (
     solve,
     subspace_sum,
 )
-from .scalars import ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -185,60 +185,34 @@ def _relative_pairs(n: Matrix, w: Filtration):
     m_b_pairs = _relative_pairs(n_b, w_b)
     if m_b_pairs is None:
         return None
-    m_a = Filtration.make(asub.dim, True, m_a_pairs) if asub.dim else None
+    # A is a nonzero step of W, so M^A is a filtration of a nonzero space.
+    m_a = Filtration.make(asub.dim, True, m_a_pairs)
     m_b = Filtration.make(proj.rows, True, m_b_pairs)
     # rho measures the failure of the coordinate section to commute with N;
     # it lands in A, and rho_a is rho in A-coordinates.
     rho_a = (n @ sec - sec @ n_b).select_rows(pivots)
     # Solve for phi: B -> A with N_A phi - phi N_B + rho mapping M^B_k into
-    # M^A_{k-2} for every k.  Unknowns are the entries of phi.
+    # M^A_{k-2} for every k.  With red the projection modulo M^A_{k-2} and
+    # phi read row by row, red(N_A phi b - phi N_B b) is the row
+    # (red N_A) kron b^T - red kron (N_B b)^T applied to phi.  Between the
+    # jumps of M^B the left side is constant and M^A_{k-2} can only grow,
+    # so the jumps suffice.
     nb_dim, na_dim = proj.rows, asub.dim
-    unknowns = na_dim * nb_dim
-    rows = []
-    rhs = []
-    lo = min([k for k, _ in m_b_pairs], default=0)
-    hi = max([k for k, _ in m_b_pairs], default=0)
-    for k in range(lo, hi + 1):
-        mbk = m_b.at(k)
-        if mbk.dim == 0:
-            continue
-        mak2 = m_a.at(k - 2) if m_a else Subspace.zero(0)
-        # Constraints live in A-coordinates modulo M^A_{k-2}.
-        red = quotient_projection(mak2)
-        for b_vec in mbk.basis.entries:
-            # rho(b) + N_A phi(b) - phi(N_B b) must reduce to zero.
-            rho_b = rho_a.apply(b_vec)
-            nb_b = n_b.apply(b_vec)
-            const = red.apply(rho_b)
-            # coefficient of phi[r][c]: N_A e_r * b[c] - e_r * (N_B b)[c]
-            coeff_rows = [[ZERO] * unknowns for _ in range(red.rows)]
-            for r in range(na_dim):
-                e_r = [ONE if t == r else ZERO for t in range(na_dim)]
-                na_er = red.apply(n_a.apply(e_r))
-                red_er = red.apply(e_r)
-                for c in range(nb_dim):
-                    idx = r * nb_dim + c
-                    for t in range(red.rows):
-                        coeff_rows[t][idx] = (
-                            coeff_rows[t][idx] + na_er[t] * b_vec[c] - red_er[t] * nb_b[c]
-                        )
-            for t in range(red.rows):
-                rows.append(coeff_rows[t])
-                rhs.append(-const[t])
-    if rows:
-        sol = solve(Matrix.from_rows(rows, unknowns), rhs)
-        if sol is None:
-            return None
-        phi = Matrix.from_rows(
-            [[sol[r * nb_dim + c] for c in range(nb_dim)] for r in range(na_dim)], nb_dim
-        )
-    else:
-        phi = Matrix.zeros(na_dim, nb_dim)
+    coeff, rhs = Matrix.zeros(0, na_dim * nb_dim), []
+    for k, mbk in m_b.steps:
+        red = quotient_projection(m_a.at(k - 2))
+        bk = mbk.basis
+        coeff = coeff.stack((red @ n_a).kron(bk) - red.kron(bk @ n_b.transpose()))
+        rhs.extend(-x for row in (red @ rho_a @ bk.transpose()).entries for x in row)
+    sol = solve(coeff, rhs)
+    if sol is None:
+        return None
+    phi = Matrix([sol[r * nb_dim : (r + 1) * nb_dim] for r in range(na_dim)], nb_dim)
     lift = sec + incl_a @ phi  # the filtered section t = s + phi
     pairs = []
     all_k = sorted(set([k for k, _ in m_a_pairs] + [k for k, _ in m_b_pairs]))
     for k in all_k:
-        part_a = image_of_subspace(incl_a, m_a.at(k)) if m_a else Subspace.zero(dim)
+        part_a = image_of_subspace(incl_a, m_a.at(k))
         part_b = image_of_subspace(lift, m_b.at(k))
         pairs.append((k, subspace_sum(part_a, part_b)))
     return pairs

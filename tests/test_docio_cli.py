@@ -201,7 +201,28 @@ def test_malformed_certificates_exit_2_with_a_named_reason(name, kummer_certific
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ([1], {}), ids=repr)
+def test_certificate_kind_of_the_wrong_json_kind_exits_2(kind, kummer_certificates, tmp_path, capsys):
+    text = json.dumps({**kummer_certificates["embedding"], "kind": kind})
+    with pytest.raises(docio.ParseError, match="unknown certificate kind"):
+        docio.parse_certificate(text)
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert main(["verify-certificate", "--input", str(path)]) == 2
+    assert "unknown certificate kind" in capsys.readouterr().err
+
+
 # -- integer fields of datum documents ---------------------------------------------
+
+
+def _mutated(obj, path, value) -> str:
+    """The document of obj with the value at path replaced."""
+    doc = json.loads(docio.serialize(obj))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
 
 
 INTEGER_FIELDS = {
@@ -223,12 +244,7 @@ def test_integer_fields_accept_only_json_integers(field, value, tmp_path, capsys
     from hodgeorbit.catalog import catalog_by_name
 
     name, path = INTEGER_FIELDS[field]
-    doc = json.loads(docio.serialize(catalog_by_name(name).build()))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    text = json.dumps(doc)
+    text = _mutated(catalog_by_name(name).build(), path, value)
     with pytest.raises(docio.ValidationError, match=f"^{field} must be an integer"):
         docio.parse(text)
     doc_path = tmp_path / "doc.json"
@@ -237,3 +253,32 @@ def test_integer_fields_accept_only_json_integers(field, value, tmp_path, capsys
     assert main([command, "--input", str(doc_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{field} must be an integer" in err and "Traceback" not in err
+
+
+# -- fields of the wrong JSON kind ---------------------------------------------------
+
+
+WRONG_KINDS = {
+    "pairings entry must be an object": (("pairings",), [1]),
+    "pairings must be a list": (("pairings",), 5),
+    "weight_filtration step must be an object": (("weight_filtration",), [1]),
+    "weight_filtration must be a list": (("weight_filtration",), 5),
+    "operators must be a list": (("operators",), 5),
+    "matrix entries must be a list": (("operators", 0, "entries"), 5),
+    "matrix row must be a list": (("operators", 0, "entries", 0), 5),
+    # Read as the 1 it replaces before booleans were refused.
+    "booleans are not integers": (("pairings", 0, "matrix", "entries", 0, 0), [[True, 1], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(WRONG_KINDS))
+def test_fields_of_the_wrong_kind_exit_2_with_a_named_reason(reason, tmp_path, capsys):
+    path, value = WRONG_KINDS[reason]
+    text = _mutated(gen_kummer(GaussScalar(0, 1)), path, value)
+    with pytest.raises(docio.ParseError, match=reason):
+        docio.parse(text)
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(text)
+    assert main(["check-mhs", "--input", str(doc_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err

@@ -3,7 +3,8 @@ embedding/surjection pipelines on serialized documents.
 
 Exit codes: 0 for a positive verdict (CERTIFIED or SUPPORTED, or a passing
 computation), 1 for REFUTED or a failed certificate, 2 for usage and
-validation errors.  Structured reports are canonical JSON, so identical
+validation errors, 3 for an internal error (a defect of the program, never
+a verdict).  Structured reports are canonical JSON, so identical
 inputs and flags produce byte-identical output.
 """
 
@@ -30,6 +31,7 @@ from .verify import Policy, check_mixed_orbit, check_pure_orbit, mhs_failures, s
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _policy(args) -> Policy:
@@ -121,12 +123,17 @@ def _filtration_report(filt) -> list:
     return [{"index": k, "dim": s.dim} for k, s in filt.steps]
 
 
+def _operator(ops, args):
+    """The operator selected by ``--op-index``, counted from 0."""
+    if not 0 <= args.op_index < len(ops):
+        raise docio.ValidationError("operator index out of range")
+    return ops[args.op_index]
+
+
 def cmd_monodromy(args) -> int:
     obj = docio.parse(_read_input(args))
     ops = obj.operators if not isinstance(obj, PairedDatum) else obj.datum.operators
-    if not ops or args.op_index >= len(ops):
-        raise docio.ValidationError("operator index out of range")
-    m = weight_monodromy(ops[args.op_index])
+    m = weight_monodromy(_operator(ops, args))
     _emit_report(args, {"center": m.center, "jumps": _filtration_report(m.filtration)})
     return EXIT_OK
 
@@ -137,9 +144,7 @@ def cmd_rel_monodromy(args) -> int:
         obj = obj.datum
     if not isinstance(obj, HodgeDatum):
         raise docio.ValidationError("rel-monodromy expects a mixed document")
-    if not obj.operators or args.op_index >= len(obj.operators):
-        raise docio.ValidationError("operator index out of range")
-    m = relative_monodromy(obj.operators[args.op_index], obj.weight_filtration)
+    m = relative_monodromy(_operator(obj.operators, args), obj.weight_filtration)
     if m is None:
         _emit_report(args, {"exists": False})
         return EXIT_REFUTED
@@ -312,6 +317,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect, not a verdict: never exit 1 on it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -171,7 +171,7 @@ def build_selfdual_extension(h: HodgeDatum, unit_generator=None, policy: Policy 
     if not all(h.hodge_filtration.is_transverse(op) for op in h.operators):
         raise ValueError("input violates Griffiths transversality")
     if unit_generator is None:
-        unit_generator = bottom.basis.entries[0]
+        unit_generator = bottom.basis.row(0)
     g = tuple(GaussScalar.of(x) for x in unit_generator)
     if not bottom.contains(g) or all(x.is_zero() for x in g) or any(x.im != 0 for x in g):
         raise ValueError("unit generator must be a nonzero rational vector in the bottom line")
@@ -246,7 +246,7 @@ def _verify_quotient_class(h, ext, q_datum, q_maps, psi, rep_tq, g):
     # Unit covector on the quotient: e-coordinate of the canonical section.
     bottom = ext.weight_filtration.at(-2)
     sec = quotient_section(bottom)
-    e_row = sec.entries[ext.dim - 1]
+    e_row = sec.row(ext.dim - 1)
     cls_quot = carlson_class(qd, unit_covector=[x for x in e_row])
     # Transport the quotient-sub coordinates to gr_{-1}(h) coordinates.
     sub = qd.weight_filtration.at(-1)

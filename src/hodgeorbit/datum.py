@@ -29,21 +29,20 @@ from .linalg import (
     quotient_section,
 )
 from .filtration import Filtration, trivial_weight_filtration
-from .scalars import GaussScalar, ONE, ZERO
+from .scalars import GaussScalar, ZERO
 
 
 def matrix_inverse(m: Matrix) -> Matrix:
+    """The inverse, read off the RREF of [m | I]: m is invertible iff the
+    left half of that RREF is the identity, and then the right half is the
+    inverse."""
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    aug = Matrix.from_rows(
-        [list(row) + list(Matrix.identity(n).entries[i]) for i, row in enumerate(m.entries)],
-        2 * n,
-    )
-    rref = echelonize(aug)
-    if rref.rows != n or any(rref.entries[i][i] != ONE for i in range(n)):
+    rref = echelonize(m.augment(Matrix.identity(n)))
+    if rref.select_cols(range(n)) != Matrix.identity(n):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows([row[n:] for row in rref.entries], n)
+    return rref.select_cols(range(n, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ class Pairing:
         return s
 
     def is_perfect(self) -> bool:
-        return self.matrix.rows == 0 or not self.matrix.det().is_zero()
+        return echelonize(self.matrix).rows == self.matrix.rows
 
     def negate(self) -> "Pairing":
         return Pairing(-self.matrix, self.twist, self.symmetry)

@@ -67,7 +67,17 @@ def _scalar_in(obj) -> GaussScalar:
 
 
 def _matrix_out(m: Matrix):
-    return {"rows": m.rows, "cols": m.cols, "entries": [[_scalar_out(x) for x in row] for row in m.entries]}
+    # Equal entries share one JSON value.  Most entries repeat, zero above
+    # all, and without sharing the document of a large certificate is the
+    # largest object a construction builds.
+    values = {}
+
+    def out(x):
+        if x not in values:
+            values[x] = _scalar_out(x)
+        return values[x]
+
+    return {"rows": m.rows, "cols": m.cols, "entries": [[out(x) for x in row] for row in m.entries]}
 
 
 def _matrix_in(obj) -> Matrix:
@@ -117,6 +127,10 @@ def _pairing_in(obj) -> Pairing:
 
 def serialize(obj) -> str:
     """Canonical JSON text for a mixed datum, orbit datum, or paired datum."""
+    return json.dumps(_datum_doc(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _datum_doc(obj) -> dict:
     if isinstance(obj, HodgeDatum):
         doc = _mixed_doc(obj)
     elif isinstance(obj, OrbitDatum):
@@ -128,7 +142,7 @@ def serialize(obj) -> str:
         doc["log_operator"] = _matrix_out(obj.log_operator)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return doc
 
 
 def _mixed_doc(h: HodgeDatum):
@@ -252,8 +266,8 @@ def serialize_certificate(cert) -> str:
         raise TypeError(f"cannot serialize {type(cert).__name__}")
     doc.update(
         format_version=FORMAT_CERTIFICATE,
-        source=json.loads(serialize(cert.source)),
-        target=json.loads(serialize(cert.target)),
+        source=_datum_doc(cert.source),
+        target=_datum_doc(cert.target),
         conditions=cert.conditions,
         orbit_status=verdict.status,
     )

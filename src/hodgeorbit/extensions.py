@@ -90,7 +90,7 @@ def _unit_covector(e: HodgeDatum):
     ann = e.weight_filtration.at(-1).annihilator()
     if ann.dim != 1:
         raise ValueError("quotient by W_{-1} is not one-dimensional")
-    cov = ann.basis.entries[0]
+    cov = ann.basis.row(0)
     if any(x.im != 0 for x in cov):
         raise ValueError("unit covector is not rational")
     return cov

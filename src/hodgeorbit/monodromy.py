@@ -198,12 +198,12 @@ def _relative_pairs(n: Matrix, w: Filtration):
     # jumps of M^B the left side is constant and M^A_{k-2} can only grow,
     # so the jumps suffice.
     nb_dim, na_dim = proj.rows, asub.dim
-    coeff, rhs = Matrix.zeros(0, na_dim * nb_dim), []
+    coeff, rhs = Matrix.zeros(0, na_dim * nb_dim), Matrix.zeros(0, 1)
     for k, mbk in m_b.steps:
         red = quotient_projection(m_a.at(k - 2))
         bk = mbk.basis
         coeff = coeff.stack((red @ n_a).kron(bk) - red.kron(bk @ n_b.transpose()))
-        rhs.extend(-x for row in (red @ rho_a @ bk.transpose()).entries for x in row)
+        rhs = rhs.stack(-(red @ rho_a @ bk.transpose()).vec())
     sol = solve(coeff, rhs)
     if sol is None:
         return None

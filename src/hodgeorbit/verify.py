@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from .datum import (
@@ -29,6 +30,7 @@ from .filtration import Filtration
 from .linalg import (
     Matrix,
     Subspace,
+    echelonize,
     image_of_subspace,
     intersect,
     is_positive_definite_hermitian,
@@ -139,8 +141,7 @@ def hodge_decomposition(w: int, f: Filtration):
     pieces = _hodge_pieces(w, f, lambda p, q: intersect(f.at(p), f.at(q).conjugate()))
     if pieces is None:
         return None
-    rows = [row for _, _, piece in pieces for row in piece.basis.entries]
-    if not Subspace.from_vectors(f.ambient_dim, rows).is_full():
+    if pieces and echelonize(reduce(Matrix.stack, (piece.basis for _, _, piece in pieces))).rows != f.ambient_dim:
         return None
     return HodgeDecomposition(w, pieces)
 

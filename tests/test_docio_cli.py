@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from hodgeorbit import docio
-from hodgeorbit.catalog import catalog_entries, gen_elliptic_orbit, gen_kummer
+from hodgeorbit import cli, docio
+from hodgeorbit.catalog import catalog_by_name, catalog_entries, gen_elliptic_orbit, gen_kummer
 from hodgeorbit.cli import main
 from hodgeorbit.construct import orbit_to_mixed
 from hodgeorbit.datum import HodgeDatum, OrbitDatum, PairedDatum
@@ -282,3 +282,35 @@ def test_fields_of_the_wrong_kind_exit_2_with_a_named_reason(reason, tmp_path, c
     assert main(["check-mhs", "--input", str(doc_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, index",
+    [
+        ("rel-monodromy", "kummer_i", -2),
+        ("rel-monodromy", "kummer_i", -1),
+        ("rel-monodromy", "kummer_i", 7),
+        ("monodromy", "elliptic_orbit", -3),
+        ("monodromy", "elliptic_orbit", -1),
+        ("monodromy", "elliptic_orbit", 2),
+    ],
+)
+def test_operator_index_out_of_range_exits_2(command, name, index, tmp_path, capsys):
+    # A negative index once escaped main as an IndexError (exit 1, read as
+    # "refuted") or silently counted from the end.
+    path = tmp_path / "doc.json"
+    path.write_text(docio.serialize(catalog_by_name(name).build()))
+    assert main([command, "--input", str(path), "--op-index", str(index)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: operator index out of range\n"
+
+
+def test_internal_error_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "check_pure_orbit", broken)
+    path = tmp_path / "orbit.json"
+    path.write_text(docio.serialize(gen_elliptic_orbit()))
+    assert main(["check-orbit", "--input", str(path)]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: broken invariant\n"

@@ -274,40 +274,47 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", choices=("text", "structured"), default="text")
 
-    handlers = {}
-    for name, fn, kwargs in (
-        ("check-mhs", cmd_check_mhs, {}),
-        ("check-orbit", cmd_check_orbit, {}),
-        ("monodromy", cmd_monodromy, {"op_index": True}),
-        ("rel-monodromy", cmd_rel_monodromy, {"op_index": True}),
-        ("embed", cmd_embed, {"output": True}),
-        ("surject", cmd_surject, {"output": True}),
-        ("verify-certificate", cmd_verify_certificate, {}),
-        ("orbit-to-mixed", cmd_orbit_to_mixed, {"output": True}),
-        ("mixed-to-orbit", cmd_mixed_to_orbit, {"output": True}),
-        ("prop44", cmd_prop44, {}),
+    for name, kwargs in (
+        ("check-mhs", {}),
+        ("check-orbit", {}),
+        ("monodromy", {"op_index": True}),
+        ("rel-monodromy", {"op_index": True}),
+        ("embed", {"output": True}),
+        ("surject", {"output": True}),
+        ("verify-certificate", {}),
+        ("orbit-to-mixed", {"output": True}),
+        ("mixed-to-orbit", {"output": True}),
+        ("prop44", {}),
     ):
-        p = sub.add_parser(name)
-        common(p, **kwargs)
-        p.set_defaults(handler=fn)
+        common(sub.add_parser(name), **kwargs)
     p = sub.add_parser("catalog")
     p.add_argument("--name")
     p.add_argument("--list", action="store_true")
     p.add_argument("--output")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", choices=("text", "structured"), default="text")
-    p.set_defaults(handler=cmd_catalog)
     return parser
 
 
+# The parser of every ``main`` call in this process.  Building it costs more
+# than reading a small document, so it is built once, on the first call --
+# not at import, which every importer would pay.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        # Looked up on each call, so that a rebound cmd_* function is the
+        # one that runs, whenever the parser was built.
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(args)
     except (docio.ParseError, docio.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,7 +83,26 @@ def _matrix_out(m: Matrix):
 def _matrix_in(obj) -> Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError("matrix must be an object with entries")
-    entries = [[_scalar_in(x) for x in _list(row, "matrix row")] for row in _list(obj["entries"], "matrix entries")]
+    # Most entries repeat (see _matrix_out), so each distinct well-formed
+    # entry, four JSON integers, is read once.  Any other entry goes to
+    # _scalar_in, which rejects it with its own message; booleans and floats
+    # equal to integers must not hit the memo, hence the exact type test.
+    read = {}
+
+    def scalar(x):
+        try:
+            (rn, rd), (im_n, im_d) = x
+        except (TypeError, ValueError):
+            return _scalar_in(x)
+        if not type(rn) is type(rd) is type(im_n) is type(im_d) is int:
+            return _scalar_in(x)
+        key = (rn, rd, im_n, im_d)
+        value = read.get(key)
+        if value is None:
+            value = read[key] = _scalar_in(x)
+        return value
+
+    entries = [[scalar(x) for x in _list(row, "matrix row")] for row in _list(obj["entries"], "matrix entries")]
     shape = {key: _integer(obj[key], f"matrix {key}") for key in ("rows", "cols") if key in obj}
     try:
         m = Matrix(entries, shape.get("cols"))
@@ -179,10 +198,19 @@ def parse(text: str):
     Malformed syntax raises ParseError with a location; invariant violations
     raise ValidationError naming the invariant.
     """
+    return _datum_in(_json_in(text))
+
+
+def _json_in(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+
+
+def _datum_in(doc):
+    """The datum of a decoded document: the checks of :func:`parse` after
+    the JSON syntax, which certificates share for their two sides."""
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if doc.get("format_version") != FORMAT_DATUM:
@@ -286,10 +314,7 @@ def parse_certificate(text: str):
     a certificate of its kind (wrong data kinds, operator counts or map
     shape, a non-integer shear) raises ValidationError naming the reason.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    doc = _json_in(text)
     if not isinstance(doc, dict):
         raise ValidationError("certificate must be a JSON object")
     if doc.get("format_version") != FORMAT_CERTIFICATE:
@@ -300,8 +325,8 @@ def parse_certificate(text: str):
     for key in ("source", "target", "map"):
         if key not in doc:
             raise ValidationError(f"certificate is missing {key!r}")
-    source = parse(json.dumps(doc["source"]))
-    target = parse(json.dumps(doc["target"]))
+    source = _datum_in(doc["source"])
+    target = _datum_in(doc["target"])
     mp = _matrix_in(doc["map"])
     source_kind, target_kind = _CERTIFICATE_SIDES[kind]
     if not isinstance(source, source_kind) or not isinstance(target, target_kind):

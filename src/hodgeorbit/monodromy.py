@@ -264,12 +264,21 @@ def admissibility_report(w: Filtration, operators, samples=((1,), (2, 3))) -> Ad
     """
     details = []
     ops = list(operators)
+    # M(N, W) of each distinct N, once per call: the cone sample (1,) is
+    # the last partial sum again.
+    memo = {}
+
+    def relative(n):
+        if n not in memo:
+            memo[n] = relative_monodromy(n, w)
+        return memo[n]
+
     partial_ok = True
     ref = None
     running = None
     for j, op in enumerate(ops):
         running = op if running is None else running + op
-        m = relative_monodromy(running, w)
+        m = relative(running)
         details.append((f"partial_sum_{j + 1}", m is not None))
         if m is None:
             partial_ok = False
@@ -282,7 +291,7 @@ def admissibility_report(w: Filtration, operators, samples=((1,), (2, 3))) -> Ad
         else:
             for sample in samples:
                 coeffs = list(sample) * ((len(ops) + len(sample) - 1) // len(sample))
-                m = relative_monodromy(Matrix.combination([Fraction(c) for c in coeffs], ops), w)
+                m = relative(Matrix.combination([Fraction(c) for c in coeffs], ops))
                 same = m is not None and m.filtration == ref
                 details.append((f"cone_sample_{sample}", same))
                 if not same:

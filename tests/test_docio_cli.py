@@ -314,3 +314,65 @@ def test_internal_error_exits_3_without_a_traceback(tmp_path, capsys, monkeypatc
     path.write_text(docio.serialize(gen_elliptic_orbit()))
     assert main(["check-orbit", "--input", str(path)]) == cli.EXIT_INTERNAL == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: broken invariant\n"
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    for _ in range(5):
+        assert main(["catalog", "--list"]) == 0
+    assert main(["check-mhs", "--grid"]) == 2
+    assert built == [1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["check-mhs", "--grid", "4"], ["check-mhs"]),
+        (["check-mhs", "--report", "structured"], ["check-mhs", "--report", "text"]),
+        (["check-mhs", "--report", "structured"], ["check-mhs"]),
+        (["rel-monodromy", "--op-index", "1"], ["rel-monodromy"]),
+        (["monodromy", "--op-index", "1", "--seed", "4"], ["monodromy"]),
+        (["embed", "--output", "c.json"], ["embed"]),
+        (["catalog", "--list"], ["catalog", "--name", "kummer_i"]),
+    ],
+)
+def test_options_do_not_leak_between_calls(first, second, monkeypatch):
+    seen = []
+    for name in ("cmd_check_mhs", "cmd_monodromy", "cmd_rel_monodromy", "cmd_embed", "cmd_catalog"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    for argv in (first, second, first):
+        assert main(argv) == 0
+    # Each call sees exactly what a parser of its own would give it.
+    assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in (first, second, first)]
+
+
+def test_each_call_reports_in_its_own_format(tmp_path, capsys):
+    path = tmp_path / "kummer.json"
+    path.write_text(docio.serialize(catalog_by_name("kummer_i").build()))
+    outputs = []
+    for report in ("structured", "text", "structured"):
+        assert main(["check-mhs", "--input", str(path), "--report", report]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert main(["check-mhs", "--input", str(path)]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    json.loads(outputs[0])
+    assert outputs[1].startswith("evidence:\n")
+
+
+def test_a_reused_parser_still_answers_help_and_usage_errors(capsys):
+    assert main(["catalog", "--list"]) == 0  # the parser exists from here on
+    for argv in (["--help"], ["check-mhs", "--help"], ["verify-certificate", "-h"]):
+        assert main(argv) == 0
+        assert "usage: hodgeorbit" in capsys.readouterr().out
+    for argv in ([], ["no-such-command"], ["check-mhs", "--grid"], ["monodromy", "--op-index", "x"]):
+        assert main(argv) == 2
+        assert "usage: hodgeorbit" in capsys.readouterr().err
+    assert main(["catalog", "--list"]) == 0

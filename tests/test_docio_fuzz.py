@@ -2,9 +2,11 @@
 
 One JSON value of a catalog document, at a drawn path, is replaced by a
 value of another kind, and ``check-mhs`` or ``check-orbit`` is run on the
-result.  Whatever the mutation, the command must answer with an exit code
-(0 verdict passed, 1 refuted, 2 rejected document) and let no exception
-escape ``main``: a malformed document is a named rejection, never a crash.
+result; likewise for a value inside the source, target or map of a
+certificate, with ``verify-certificate``.  Whatever the mutation, the
+command must answer with an exit code (0 verdict passed, 1 refuted, 2
+rejected document) and let no exception escape ``main``: a malformed
+document is a named rejection, never a crash, and never exit 3.
 """
 
 import contextlib
@@ -17,36 +19,52 @@ from hypothesis import given, settings, strategies as st
 from hodgeorbit import docio
 from hodgeorbit.catalog import catalog_by_name
 from hodgeorbit.cli import main
-from hodgeorbit.construct import orbit_to_mixed
+from hodgeorbit.construct import embed_general, orbit_to_mixed, surject_from_pure
 
 DOCUMENTS = {
     "kummer_i": ("check-mhs", catalog_by_name("kummer_i").build()),
     "elliptic_orbit": ("check-orbit", catalog_by_name("elliptic_orbit").build()),
     "elliptic_orbit paired": ("check-mhs", orbit_to_mixed(catalog_by_name("elliptic_orbit").build())),
 }
+_KUMMER = catalog_by_name("kummer_i").build()
+CERTIFICATES = {
+    "embedding": docio.serialize_certificate(embed_general(_KUMMER)),
+    "surjection": docio.serialize_certificate(surject_from_pure(_KUMMER)),
+}
 REPLACEMENTS = (5, "x", [1], None, {}, True)
 
 
-@st.composite
-def mutated_documents(draw):
-    """(command, document text): a walk from the root that stops at each
-    level with probability one half, so the containers near the root (the
-    field lists, filtration steps, matrices and their rows) are hit often,
-    and the value where it stops replaced."""
-    name = draw(st.sampled_from(sorted(DOCUMENTS)))
-    command, obj = DOCUMENTS[name]
-    doc = json.loads(docio.serialize(obj))
-    parent, key, node = None, None, doc
+def _mutate(draw, parent, key):
+    """Replace the value at parent[key], or one nested in it: a walk that
+    stops at each level with probability one half, so the containers near
+    the start (the field lists, filtration steps, matrices and their rows)
+    are hit often."""
+    node = parent[key]
     while isinstance(node, (dict, list)) and node and draw(st.booleans()):
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
         parent, key = node, draw(st.sampled_from(keys))
         node = parent[key]
-    value = draw(st.sampled_from(REPLACEMENTS))
-    if parent is None:
-        doc = value
-    else:
-        parent[key] = value
-    return command, json.dumps(doc)
+    parent[key] = draw(st.sampled_from(REPLACEMENTS))
+
+
+@st.composite
+def mutated_documents(draw):
+    """(command, document text) with one value of a catalog document,
+    the whole document included, replaced."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    command, obj = DOCUMENTS[name]
+    root = [json.loads(docio.serialize(obj))]
+    _mutate(draw, root, 0)
+    return command, json.dumps(root[0])
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A certificate text with one value inside its source, target or map
+    replaced."""
+    doc = json.loads(CERTIFICATES[draw(st.sampled_from(sorted(CERTIFICATES)))])
+    _mutate(draw, doc, draw(st.sampled_from(("source", "target", "map"))))
+    return json.dumps(doc)
 
 
 def _run(command, text) -> int:
@@ -64,3 +82,9 @@ def _run(command, text) -> int:
 @given(mutated_documents())
 def test_mutated_documents_get_an_exit_code(case):
     assert _run(*case) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_certificates())
+def test_mutated_certificates_get_an_exit_code(text):
+    assert _run("verify-certificate", text) in (0, 1, 2)

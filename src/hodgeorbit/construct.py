@@ -63,7 +63,7 @@ from .linalg import (
     quotient_section,
     solve,
 )
-from .monodromy import relative_monodromy, shift, weight_monodromy
+from .monodromy import admissibility_report, relative_monodromy, shift, weight_monodromy
 from .scalars import GaussScalar, ONE, ZERO
 from .verify import (
     Policy,
@@ -488,8 +488,26 @@ def _probe_points(policy: Policy, n_ops: int):
 # General embedding by induction on the weight span
 
 
+def _require_admissible(h: HodgeDatum) -> None:
+    """Refuse a source that check_mixed_orbit refutes for transversality or
+    admissibility, naming the first failing clause.  These are the verdict's
+    own expressions, so no source it passes is refused; past them the
+    construction can run for minutes on such a source, or certify an
+    embedding the verdict contradicts."""
+    if not all(h.hodge_filtration.is_transverse(op) for op in h.operators):
+        raise ValueError("input violates Griffiths transversality")
+    report = admissibility_report(h.weight_filtration, h.operators)
+    if not report.admissible:
+        clause = next(name for name, ok in report.details if not ok)
+        raise ValueError(f"input is not admissible: {clause} fails")
+
+
 def embed_general(h: HodgeDatum, policy: Policy | None = None) -> EmbeddingCertificate:
-    policy = policy or Policy()
+    _require_admissible(h)
+    return _embed(h, policy or Policy())
+
+
+def _embed(h: HodgeDatum, policy: Policy) -> EmbeddingCertificate:
     if h.dim == 0:
         raise ValueError("cannot embed the zero datum")
     for wt in h.weights():
@@ -621,7 +639,8 @@ def orbit_dual(o: OrbitDatum) -> OrbitDatum:
 def surject_from_pure(h: HodgeDatum, policy: Policy | None = None) -> SurjectionCertificate:
     """Dualize the embedding of the dual: a pure orbit surjecting onto h."""
     policy = policy or Policy()
-    cert = embed_general(dual(h), policy)
+    _require_admissible(h)
+    cert = _embed(dual(h), policy)
     if not cert.verified:
         raise ValueError("embedding of the dual failed")
     return certify_surjection(orbit_dual(cert.target), h, cert.injection.transpose(), policy)

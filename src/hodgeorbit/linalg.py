@@ -366,25 +366,15 @@ class Matrix:
         return GaussScalar._raw(sign * prev[0], sign * prev[1], self.den**self.rows)
 
     def is_nilpotent(self) -> bool:
+        """An n x n matrix is nilpotent iff its n-th power vanishes."""
         if self.rows != self.cols:
             return False
-        try:
-            self.nilpotency_degree()
-        except ValueError:
-            return False
-        return True
-
-    def nilpotency_degree(self) -> int:
-        """Least d with self**d = 0; raises for non-nilpotent input.  An n x n
-        matrix is nilpotent iff its n-th power vanishes."""
-        if self.rows == 0:
-            return 0
-        p, d = self, 1
-        while not p.is_zero():
-            if d >= self.rows:
-                raise ValueError("matrix is not nilpotent")
-            p, d = p @ self, d + 1
-        return d
+        p = self
+        for _ in range(self.rows - 1):
+            if p.is_zero():
+                return True
+            p = p @ self
+        return p.is_zero()
 
     def _same_shape(self, other):
         if self.shape != other.shape:

@@ -26,9 +26,7 @@ from .linalg import (
     Subspace,
     graded_coordinates,
     image_of_subspace,
-    intersect,
     kernel,
-    preimage,
     quotient_projection,
     quotient_section,
     solve,
@@ -44,18 +42,6 @@ class MonodromyFiltration:
 
 # ---------------------------------------------------------------------------
 # Axiom checks
-
-
-def _induced_map_on_graded(m: Matrix, filt: Filtration, k_from: int, k_to: int):
-    """The map m : gr_k_from -> gr_k_to of filt, as a matrix, or None if m
-    does not send the filtration step correctly."""
-    top_from = filt.at(k_from)
-    top_to = filt.at(k_to)
-    if not top_to.contains_subspace(image_of_subspace(m, top_from)):
-        return None
-    project, _ = graded_coordinates(top_to, filt.at(k_to - 1))
-    _, section = graded_coordinates(top_from, filt.at(k_from - 1))
-    return project @ m @ section
 
 
 def satisfies_monodromy_axioms(n: Matrix, filt: Filtration, center: int = 0) -> bool:
@@ -74,8 +60,11 @@ def satisfies_monodromy_axioms(n: Matrix, filt: Filtration, center: int = 0) -> 
             return False
         if g_hi == 0:
             continue
-        m = _induced_map_on_graded(power, filt, center + j, center - j)
-        if m is None or m.rows != m.cols or m.det().is_zero():
+        # The shift by -2 puts N^j W_{c+j} inside W_{c-j}, so N^j induces
+        # a map gr_{c+j} -> gr_{c-j}.
+        project, _ = graded_coordinates(filt.at(center - j), filt.at(center - j - 1))
+        _, section = graded_coordinates(filt.at(center + j), filt.at(center + j - 1))
+        if (project @ power @ section).det().is_zero():
             return False
     # Graded dimensions outside the symmetric range must vanish.
     for k in range(lo, hi + 1):
@@ -118,7 +107,7 @@ def _weight_monodromy_raw(n: Matrix) -> list:
     k, nk = 1, n  # the highest nonzero power N^k
     while not (nxt := nk @ n).is_zero():
         if k == dim:
-            raise ValueError("matrix is not nilpotent")
+            raise ValueError("operator is not nilpotent")
         k, nk = k + 1, nxt
     ker_top = kernel(nk)
     im_bot = image_of_subspace(nk, Subspace.full(dim))
@@ -130,14 +119,10 @@ def _weight_monodromy_raw(n: Matrix) -> list:
     for j, s in inner:
         if j >= k - 1 or j < -k:
             continue
-        lifted = subspace_sum(im_bot, preimage_in(ker_top, to_q, s))
-        pairs.append((j, lifted))
+        # sec lands in ker N^k, to_q @ sec = I, and to_q kills exactly
+        # im N^k on ker N^k: im N^k + sec(s) is the preimage of s there.
+        pairs.append((j, subspace_sum(im_bot, image_of_subspace(sec, s))))
     return pairs
-
-
-def preimage_in(domain: Subspace, mp: Matrix, target: Subspace) -> Subspace:
-    """{v in domain : mp v in target}."""
-    return intersect(domain, preimage(mp, target))
 
 
 def weight_monodromy(n: Matrix) -> MonodromyFiltration:
@@ -145,8 +130,6 @@ def weight_monodromy(n: Matrix) -> MonodromyFiltration:
     W_{k-2} and N^k : gr_k ~ gr_{-k}; verified against both axioms."""
     if n.rows != n.cols:
         raise ValueError("operator must be square")
-    if not n.is_nilpotent():
-        raise ValueError("operator is not nilpotent")
     pairs = _weight_monodromy_raw(n)
     filt = Filtration.make(n.rows, True, pairs)
     if not satisfies_monodromy_axioms(n, filt, center=0):

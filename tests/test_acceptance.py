@@ -270,7 +270,7 @@ def test_criterion_08_surjections_both_directions():
             ok = False
             print(f"  single-operator source not certified on {entry.name}")
     for entry in catalog_entries():
-        if "mixed_negative" not in entry.tags or "rmf_missing" in entry.tags:
+        if "mixed_negative" not in entry.tags:
             continue
         try:
             surject_from_pure(entry.build())

@@ -1,11 +1,16 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
+from hodgeorbit import construct
 from hodgeorbit.catalog import (
+    catalog_entries,
     gen_elliptic_orbit,
     gen_kummer,
+    gen_random_mhs,
     gen_tate,
     gen_tate_curve_orbit,
     gen_three_weight_mixed,
@@ -35,9 +40,9 @@ from hodgeorbit.datum import (
 from hodgeorbit.extensions import carlson_class, normalize_class
 from hodgeorbit.filtration import Filtration, trivial_weight_filtration
 from hodgeorbit.linalg import Matrix, Subspace, echelonize
-from hodgeorbit.monodromy import relative_monodromy, shift, weight_monodromy
+from hodgeorbit.monodromy import admissibility_report, relative_monodromy, shift, weight_monodromy
 from hodgeorbit.scalars import GaussScalar, ONE, ZERO
-from hodgeorbit.verify import CERTIFIED, REFUTED, Policy
+from hodgeorbit.verify import CERTIFIED, REFUTED, Policy, check_mixed_orbit
 
 
 def windowed_rank3(n_ops=0, z=GaussScalar(0, 1)):
@@ -378,3 +383,55 @@ def test_selfdual_extension_wide_hodge_range():
     for u in f1.basis.entries:
         for v in fm1.basis.entries:
             assert pairing.evaluate(u, v).is_zero()
+
+
+# -- refusing inadmissible sources ------------------------------------------------
+
+
+class _Reached(Exception):
+    """Raised in place of the construction: the source got past the gate."""
+
+
+def _transversality_failure():
+    """F^2 = F^1 is the line of e3, and N e3 = e2 lies outside it."""
+    e3 = Subspace.from_vectors(3, [(0, 0, 1)])
+    ff = Filtration.make(3, False, [(0, Subspace.full(3)), (2, e3), (3, Subspace.zero(3))])
+    n = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    return make_datum(trivial_weight_filtration(3, 0), ff, [n], {}, 0)
+
+
+def test_embed_and_surject_refuse_exactly_the_inadmissible_sources(monkeypatch):
+    """A source is refused, at once and with the first failing clause named,
+    exactly when check_mixed_orbit refutes its transversality or
+    admissibility clause; every other source reaches the construction."""
+
+    def reached(h, policy):
+        raise _Reached
+
+    monkeypatch.setattr(construct, "_embed", reached)
+    rng = random.Random(20221222)
+    inputs = [e.build() for e in catalog_entries() if e.kind == "mixed"]
+    inputs += [gen_random_mhs(rng.randrange(2**31), ((0, 1), (-1, 2)), n_ops) for n_ops in (1, 2) for _ in range(20)]
+    inputs.append(_transversality_failure())
+    gated = ("transversality", "admissibility_partial_sums", "admissibility_cone_samples")
+    refused = 0
+    for h in inputs:
+        clauses = {name: ok for name, ok, _ in check_mixed_orbit(h).evidence}
+        if all(clauses[name] for name in gated):
+            for build in (embed_general, surject_from_pure):
+                with pytest.raises(_Reached):
+                    build(h)
+            continue
+        if not clauses["transversality"]:
+            reason = "Griffiths transversality"
+        else:
+            details = admissibility_report(h.weight_filtration, h.operators).details
+            reason = next(name for name, ok in details if not ok)
+        for build in (embed_general, surject_from_pure):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                build(h)
+            assert time.perf_counter() - start < 0.05
+        refused += 1
+    # rmf_missing, the transversality failure and 22 of the seeded draws.
+    assert refused >= 10

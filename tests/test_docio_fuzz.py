@@ -1,8 +1,11 @@
 """Fuzzer for the document readers behind the CLI.
 
 One JSON value of a catalog document, at a drawn path, is replaced by a
-value of another kind, and ``check-mhs`` or ``check-orbit`` is run on the
-result; likewise for a value inside the source, target or map of a
+value of another kind, and a command that reads that kind of document is run
+on the result: ``check-mhs``, ``embed``, ``surject``, ``monodromy`` or
+``rel-monodromy`` on a mixed one, ``check-orbit``, ``orbit-to-mixed``,
+``prop44`` or ``monodromy`` on an orbit, ``check-mhs`` or ``mixed-to-orbit``
+on a paired one; likewise for a value inside the source, target or map of a
 certificate, with ``verify-certificate``.  Whatever the mutation, the
 command must answer with an exit code (0 verdict passed, 1 refuted, 2
 rejected document) and let no exception escape ``main``: a malformed
@@ -22,9 +25,18 @@ from hodgeorbit.cli import main
 from hodgeorbit.construct import embed_general, orbit_to_mixed, surject_from_pure
 
 DOCUMENTS = {
-    "kummer_i": ("check-mhs", catalog_by_name("kummer_i").build()),
-    "elliptic_orbit": ("check-orbit", catalog_by_name("elliptic_orbit").build()),
-    "elliptic_orbit paired": ("check-mhs", orbit_to_mixed(catalog_by_name("elliptic_orbit").build())),
+    "kummer_i": (
+        ("check-mhs", "embed", "surject", "monodromy", "rel-monodromy"),
+        catalog_by_name("kummer_i").build(),
+    ),
+    "elliptic_orbit": (
+        ("check-orbit", "orbit-to-mixed", "prop44", "monodromy"),
+        catalog_by_name("elliptic_orbit").build(),
+    ),
+    "elliptic_orbit paired": (
+        ("check-mhs", "mixed-to-orbit"),
+        orbit_to_mixed(catalog_by_name("elliptic_orbit").build()),
+    ),
 }
 _KUMMER = catalog_by_name("kummer_i").build()
 CERTIFICATES = {
@@ -52,7 +64,8 @@ def mutated_documents(draw):
     """(command, document text) with one value of a catalog document,
     the whole document included, replaced."""
     name = draw(st.sampled_from(sorted(DOCUMENTS)))
-    command, obj = DOCUMENTS[name]
+    commands, obj = DOCUMENTS[name]
+    command = draw(st.sampled_from(commands))
     root = [json.loads(docio.serialize(obj))]
     _mutate(draw, root, 0)
     return command, json.dumps(root[0])
@@ -78,7 +91,7 @@ def _run(command, text) -> int:
         sys.stdin = stdin
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(mutated_documents())
 def test_mutated_documents_get_an_exit_code(case):
     assert _run(*case) in (0, 1, 2)

@@ -87,8 +87,10 @@ def test_canonical_outputs_match_golden_digest():
 # -- every CLI command on every catalog document -------------------------------
 
 # Taken from the code before the duplicated block sums, transversality loops,
-# graded coordinates, shear searches and surjection re-checks were folded.
-GOLDEN_CLI_SHA256 = "7d419104e269ff9b02b6485295490f484ff8c309b71e1e1c24c0467b8a1913b6"
+# graded coordinates, shear searches and surjection re-checks were folded, and
+# retaken when embed and surject began to refuse inadmissible sources: only
+# the embed and surject records on rmf_missing changed (exit 1, named clause).
+GOLDEN_CLI_SHA256 = "2007c2dbec02a5b1481f05d679bf37774f1d26b9f7f7a47f04f718aef24739aa"
 
 MIXED_COMMANDS = ("check-mhs", "rel-monodromy", "embed", "surject")
 ORBIT_COMMANDS = ("check-orbit", "monodromy", "orbit-to-mixed", "prop44")
@@ -139,12 +141,15 @@ def test_cli_outputs_match_golden_digest(tmp_path):
 # -- the construction on seeded two-weight inputs ------------------------------
 
 # Taken from the code before the pairing transports, induced and dual
-# filtrations, filtration shifts and orbit points were folded.
-GOLDEN_CONSTRUCT_SHA256 = "4b78ca51f56856b1b65cbcabe58adf857583bf0e523d30421effdb0cc19c9d3e"
+# filtrations, filtration shifts and orbit points were folded, and retaken
+# when embed_general and surject_from_pure began to refuse inadmissible
+# sources: only the lines of inputs check_mixed_orbit refutes changed.
+GOLDEN_CONSTRUCT_SHA256 = "9f8557f27db0ede6b266705c1296552cd9438f8aac1ee8ccbd8ef20c56b875e6"
 
 SEEDED_PROFILE = ((0, 1), (-1, 2))
-# check_mixed_orbit refutes this input at both operator counts, yet both of
-# its certificates verify: a multi-operator verdict rests on sampling.
+# check_mixed_orbit refutes this input at both operator counts for
+# admissibility, yet both of its certificates used to verify; both are now
+# refused up front.
 REFUTED_BUT_VERIFIED_SEED = 271041745
 
 

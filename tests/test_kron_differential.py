@@ -447,7 +447,9 @@ def extensions():
 
     inputs = [e.build() for e in catalog_entries() if e.kind == "mixed"]
     rng = random.Random(20221221)
-    inputs += [gen_random_mhs(rng.randrange(2**31), ((0, 1), (-1, 2)), n_ops) for n_ops in (1, 2) for _ in range(3)]
+    # Inadmissible draws are refused before any extension is built, so ten
+    # per operator count are drawn to collect at least 30 extensions.
+    inputs += [gen_random_mhs(rng.randrange(2**31), ((0, 1), (-1, 2)), n_ops) for n_ops in (1, 2) for _ in range(10)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "solve_selfduality", recording)
         for h in inputs:

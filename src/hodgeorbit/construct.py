@@ -580,7 +580,7 @@ def _certify_with_shears(h: HodgeDatum, orbit: OrbitDatum, inj: Matrix, policy: 
     unsheared = None
     for a in candidates:
         sheared = replace(orbit, operators=shear_operators(orbit.operators, a)) if a else orbit
-        if len(candidates) > 1 and not sampled_orbit_membership(sheared, y_grid=probe).all_pass:
+        if len(candidates) > 1 and not sampled_orbit_membership(sheared, y_grid=probe, stop_at_failure=True).all_pass:
             continue
         cert = certify_embedding(h, sheared, inj, policy, shear=a)
         if cert.verified:

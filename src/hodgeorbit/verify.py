@@ -101,20 +101,29 @@ def exp_nilpotent(m: Matrix) -> Matrix:
     return out
 
 
-def exp_twisted_combination(operators, y, dim: int | None = None) -> Matrix:
-    """exp(sum_j i*y_j*N_j), exactly over Q(i) for rational y."""
+def _twisted_exponent(operators, y) -> Matrix | None:
+    """sum_j i*y_j*N_j, or None for the empty combination."""
     if len(operators) != len(y):
         raise ValueError("coefficient count mismatch")
-    if not operators:
+    return Matrix.combination([imaginary(yj) for yj in y], operators) if operators else None
+
+
+def exp_twisted_combination(operators, y, dim: int | None = None) -> Matrix:
+    """exp(sum_j i*y_j*N_j), exactly over Q(i) for rational y."""
+    x = _twisted_exponent(operators, y)
+    if x is None:
         if dim is None:
             raise ValueError("dimension required for the empty combination")
         return Matrix.identity(dim)
-    return exp_nilpotent(Matrix.combination([imaginary(yj) for yj in y], operators))
+    return exp_nilpotent(x)
 
 
 def orbit_point(f: Filtration, operators, y) -> Filtration:
-    """The point exp(sum_j i*y_j*N_j) F of the nilpotent orbit."""
-    return f.map_image(exp_twisted_combination(operators, y, f.ambient_dim))
+    """The point exp(sum_j i*y_j*N_j) F of the nilpotent orbit.  When the
+    exponent vanishes the exponential is the identity, which fixes F, so F
+    itself is returned."""
+    x = _twisted_exponent(operators, y)
+    return f if x is None or x.is_zero() else f.map_image(exp_nilpotent(x))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +193,23 @@ def is_polarized_hs(w: int, f: Filtration, s: Pairing) -> bool:
     h-orthogonal, so when h is definite on each of them they are
     independent, and with dimensions adding up to n they span V: the
     positivity test settles purity too."""
-    n = f.ambient_dim
+    _check_polarizing_pairing(w, f.ambient_dim, s)
+    return _is_polarized(w, f, s)
+
+
+def _check_polarizing_pairing(w: int, n: int, s: Pairing):
+    """Raise unless S is a perfect pairing of weight w on Q(i)^n."""
     if s.matrix.rows != n:
         raise ValueError("pairing size does not match the space")
     if s.twist != -w or s.symmetry != weight_symmetry(w):
         raise ValueError("pairing has wrong twist or symmetry for the weight")
     if not s.is_perfect():
         raise ValueError("pairing is degenerate")
+
+
+def _is_polarized(w: int, f: Filtration, s: Pairing) -> bool:
+    """The polarization test of ``is_polarized_hs`` for a pairing that
+    ``_check_polarizing_pairing`` accepts."""
     if first_relation_failure(w, f, s.matrix) is not None:
         return False
     pieces = _hodge_pieces(w, f, lambda p, q: _polarized_piece(f, p, q, s.matrix))
@@ -395,11 +414,18 @@ class MembershipReport:
         return all(ok for _, ok in self.points)
 
 
-def sampled_orbit_membership(o: OrbitDatum, y_grid=None, policy: Policy | None = None) -> MembershipReport:
-    """Exact polarized-Hodge-structure checks at exp(sum i y_j N_j) F."""
+def sampled_orbit_membership(
+    o: OrbitDatum, y_grid=None, policy: Policy | None = None, stop_at_failure: bool = False
+) -> MembershipReport:
+    """Exact polarized-Hodge-structure checks at exp(sum i y_j N_j) F.
+
+    With ``stop_at_failure`` the report ends at the first failing point,
+    which decides ``all_pass``."""
     policy = policy or Policy()
     if y_grid is None:
         y_grid = policy.grid_points(len(o.operators))
+    # The pairing is the same at every point, so it is validated once.
+    _check_polarizing_pairing(o.weight, o.hodge_filtration.ambient_dim, o.pairing)
     points = []
     # Distinct grid points often move F to the same filtration; each
     # filtration is tested once per call.
@@ -407,8 +433,10 @@ def sampled_orbit_membership(o: OrbitDatum, y_grid=None, policy: Policy | None =
     for y in y_grid:
         fy = orbit_point(o.hodge_filtration, o.operators, y)
         if fy not in tested:
-            tested[fy] = is_polarized_hs(o.weight, fy, o.pairing)
+            tested[fy] = _is_polarized(o.weight, fy, o.pairing)
         points.append((tuple(y), tested[fy]))
+        if stop_at_failure and not tested[fy]:
+            break
     return MembershipReport(tuple(points))
 
 
@@ -493,10 +521,12 @@ def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None) -> Verdict:
     evidence.append(("admissibility_partial_sums", adm.partial_sums_exist, str(adm.details)))
     evidence.append(("admissibility_cone_samples", adm.sampled_cone_constant, ""))
     graded_ok = True
+    pieces = []
     for w in h.weights():
         piece = graded_piece(h, w)
         if piece.dim == 0:
             continue
+        pieces.append((w, piece.hodge_filtration, piece.operators))
         pairing = piece.pairing(w)
         if pairing is None:
             graded_ok = False
@@ -511,7 +541,7 @@ def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None) -> Verdict:
         verdict = check_pure_orbit(gr_orbit, policy)
         evidence.append((f"graded_{w}", verdict.passed, verdict.status))
         graded_ok = graded_ok and verdict.passed
-    sampled_ok = _sampled_mhs(h.weight_filtration, h.hodge_filtration, h.operators, policy)
+    sampled_ok = _sampled_mhs(pieces, len(h.operators), policy)
     evidence.append(("sampled_mhs", sampled_ok, ""))
     all_ok = trans_ok and adm.partial_sums_exist and adm.sampled_cone_constant and graded_ok and sampled_ok
     if not all_ok:
@@ -621,16 +651,40 @@ def _unpolarized_mixed_ok(w: Filtration, operators, f: Filtration, policy: Polic
     adm = admissibility_report(w, operators)
     if not adm.partial_sums_exist:
         return False
-    return _sampled_mhs(w, f, operators, policy)
+    return _sampled_mhs(_graded_pieces(w, f, operators), len(operators), policy)
 
 
-def _sampled_mhs(w: Filtration, f: Filtration, operators, policy: Policy) -> bool:
+def _graded_pieces(w: Filtration, f: Filtration, operators) -> list:
+    """(k, F_k, N_k) for each nonzero graded piece Gr^W_k, in the canonical
+    coordinates of ``graded_maps``, as ``graded_piece`` induces them."""
+    pieces = []
+    for k in w.jumps():
+        gm = graded_maps(w, k)
+        ops = tuple(gm.project @ op @ gm.section for op in operators)
+        pieces.append((k, f.map_image(gm.project, within=w.at(k)), ops))
+    return pieces
+
+
+def _sampled_mhs(pieces, n_ops: int, policy: Policy) -> bool:
     """(W, exp(sum i y_j N_j) F) is a mixed Hodge structure at every grid
-    point: each nonzero graded piece of W is pure of its weight.  W's graded
-    coordinates are the same at every point, so they are computed once."""
-    pieces = [(k, graded_maps(w, k).project, w.at(k)) for k in w.jumps()]
-    for y in policy.grid_points(len(operators)):
-        fy = orbit_point(f, operators, y)
-        if not all(is_pure_hs(k, fy.map_image(project, within=wk)) for k, project, wk in pieces):
-            return False
+    point: each nonzero graded piece of W is pure of its weight.
+
+    ``pieces`` holds (k, F_k, N_k) for each nonzero Gr^W_k: the filtration
+    F_k = P_k(F cap W_k) and the operators N_{j,k} = P_k N_j S_k induced in
+    the coordinates (P_k, S_k) of ``graded_maps(W, k)``.  The operators
+    must preserve W.  Then g = exp(i sum y_j N_j) maps W_k onto itself and
+    P_k g = g_k P_k on W_k, with g_k = exp(i sum y_j N_{j,k}), so
+    (g F) induces on Gr^W_k exactly the canonical filtration
+    ``orbit_point(F_k, N_k, y)``: the same steps and index range as
+    ``orbit_point(F, N, y).map_image(P_k, within=W_k)``.  Each piece is
+    moved on its own, and each distinct (k, F_{k,y}) is tested once per
+    call; a piece whose induced operators vanish is never moved."""
+    passed = set()
+    for y in policy.grid_points(n_ops):
+        for k, fk, ops in pieces:
+            fy = orbit_point(fk, ops, y)
+            if (k, fy) not in passed:
+                if not is_pure_hs(k, fy):
+                    return False
+                passed.add((k, fy))
     return True

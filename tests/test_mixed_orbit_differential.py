@@ -1,23 +1,28 @@
 """Differential tests for the per-call reuse in ``check_mixed_orbit``.
 
 ``admissibility_report`` computes each distinct relative monodromy
-filtration once per call, and the sampled mixed-Hodge clause computes W's
-graded coordinates once per call.  The code they replaced is kept here as
-the reference: the un-memoised ``admissibility_report`` and the sampled
-loop that built a ``HodgeDatum`` and ran ``is_mhs`` at every grid point.
-Verdicts and facts must be identical with either.
+filtration once per call, and the sampled mixed-Hodge clause moves each
+graded piece of W by the operators induced on it, testing each distinct
+moved piece once per call.  The code they replaced is kept here as the
+reference: the un-memoised ``admissibility_report``, the sampled loop that
+built a ``HodgeDatum`` and ran ``is_mhs`` at every grid point, and the
+sampled loop that moved F on the whole space before projecting it to each
+graded piece.  Verdicts and facts must be identical with either.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from hodgeorbit import monodromy, verify
-from hodgeorbit.catalog import catalog_entries, gen_random_mhs
-from hodgeorbit.datum import make_datum
-from hodgeorbit.linalg import Matrix
+from hodgeorbit.catalog import catalog_entries, gen_random_mhs, random_invertible
+from hodgeorbit.datum import graded_maps, graded_piece, make_datum, matrix_inverse
+from hodgeorbit.filtration import Filtration, trivial_weight_filtration
+from hodgeorbit.linalg import Matrix, Subspace
 from hodgeorbit.monodromy import AdmissibilityReport, relative_monodromy
-from hodgeorbit.verify import Policy, is_mhs, orbit_point
+from hodgeorbit.scalars import GaussScalar
+from hodgeorbit.verify import Policy, exp_twisted_combination, is_mhs, is_pure_hs, orbit_point
 
 # The profiles of the benchmark's triage workload.
 PROFILES = (
@@ -72,6 +77,23 @@ def reference_sampled_mhs(w, f, operators, policy):
     return sampled_ok
 
 
+def whole_space_orbit_point(f, operators, y):
+    """``orbit_point`` without its shortcut for a vanishing exponent."""
+    return f.map_image(exp_twisted_combination(operators, y, f.ambient_dim))
+
+
+def reference_whole_space_sampled_mhs(w, f, operators, policy):
+    """``verify._sampled_mhs`` before it moved graded pieces: F moved on the
+    whole space at every grid point, then each step intersected with W_k
+    and projected to Gr^W_k."""
+    pieces = [(k, graded_maps(w, k).project, w.at(k)) for k in w.jumps()]
+    for y in policy.grid_points(len(operators)):
+        fy = whole_space_orbit_point(f, operators, y)
+        if not all(is_pure_hs(k, fy.map_image(project, within=wk)) for k, project, wk in pieces):
+            return False
+    return True
+
+
 def reference_unpolarized_mixed_ok(w, operators, f, policy):
     """``verify._unpolarized_mixed_ok`` as it was."""
     if not all(w.is_shifted_by(op, 0) for op in operators):
@@ -97,14 +119,19 @@ def _outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-def _both(fn, *args):
-    """fn(*args) with the current code and with the references."""
-    current = _outcome(fn, *args)
+def _both(fn, h, policy):
+    """fn(h, policy) with the current code and with the references; the
+    sampled clause of h is evaluated on the whole space."""
+    current = _outcome(fn, h, policy)
+
+    def whole_space_sampled_mhs(pieces, n_ops, policy):
+        return reference_sampled_mhs(h.weight_filtration, h.hodge_filtration, h.operators, policy)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "admissibility_report", reference_admissibility_report)
-        mp.setattr(verify, "_sampled_mhs", reference_sampled_mhs)
+        mp.setattr(verify, "_sampled_mhs", whole_space_sampled_mhs)
         mp.setattr(verify, "_unpolarized_mixed_ok", reference_unpolarized_mixed_ok)
-        reference = _outcome(fn, *args)
+        reference = _outcome(fn, h, policy)
     return current, reference
 
 
@@ -183,3 +210,102 @@ def test_relative_monodromy_runs_once_per_distinct_operator(monkeypatch, catalog
             doubled = Matrix.combination([Fraction(c) for c in (2, 3) * len(h.operators)], h.operators)
             assert seen == list(dict.fromkeys(running + [doubled])), name
 
+
+# -- graded pieces moved on their own ------------------------------------------------
+
+
+def _graded_acting_input(rng):
+    """(W, F, (N, N^2)) with N strictly upper triangular in a basis adapted
+    to W, built like ``_upper_triangular_input`` of test_kron_differential:
+    2-3 weights of 1-3 dimensions, so N preserves W and may act on its
+    graded pieces, which no catalog or seeded input does.  F is a flag of
+    random complex vectors.  Half the inputs are moved by a rational base
+    change."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    dim = sum(sizes)
+    n = Matrix([[rng.choice((0, 0, 1, -1, 2)) if c > r else 0 for c in range(dim)] for r in range(dim)])
+    pairs, top, weight = [], 0, rng.randint(-2, 0)
+    for size in sizes:
+        top += size
+        pairs.append((weight, Subspace.from_vectors(dim, Matrix.identity(dim).entries[:top])))
+        weight += rng.randint(1, 2)
+    w = Filtration.make(dim, True, pairs)
+    vectors = [[GaussScalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
+    dims = sorted(rng.sample(range(1, dim), rng.randint(0, dim - 1)), reverse=True) + [0]
+    p0 = rng.randint(-2, 1)
+    f = Filtration.make(dim, False, [(p0 + i, Subspace.from_vectors(dim, vectors[:d])) for i, d in enumerate(dims)])
+    if rng.random() < 0.5:
+        g = random_invertible(rng, dim)
+        n, w, f = g @ n @ matrix_inverse(g), w.map_image(g), f.map_image(g)
+    return w, f, (n, n @ n)
+
+
+@pytest.fixture(scope="module")
+def graded_acting_inputs():
+    rng = random.Random(22)
+    return [(f"upper triangular #{i}", *_graded_acting_input(rng)) for i in range(60)]
+
+
+@pytest.fixture(scope="module")
+def pure_orbit_inputs():
+    """The catalog's pure orbits with W concentrated at their weight: one
+    graded piece, moved by N itself, where the sampled verdict depends on
+    the point (F is often not pure before it is moved)."""
+    orbits = [(e.name, e.build()) for e in catalog_entries() if e.kind == "orbit"]
+    return [
+        (f"{name} as mixed", trivial_weight_filtration(o.hodge_filtration.ambient_dim, o.weight), o.hodge_filtration, o.operators)
+        for name, o in orbits
+    ]
+
+
+def _triples(catalog_inputs, seeded_inputs, graded_acting_inputs, pure_orbit_inputs):
+    mixed = [(name, h.weight_filtration, h.hodge_filtration, h.operators) for name, h in catalog_inputs + seeded_inputs]
+    return mixed + graded_acting_inputs + pure_orbit_inputs
+
+
+@pytest.mark.parametrize("grid", [(4, 8, 16), (3,)], ids=str)
+def test_graded_orbit_points_equal_the_projected_whole_space_points(
+    grid, catalog_inputs, seeded_inputs, graded_acting_inputs, pure_orbit_inputs
+):
+    """orbit_point(F, N, y) induces on Gr^W_k exactly orbit_point(F_k, N_k, y),
+    the same canonical filtration with the same steps, at every jump k."""
+    policy = Policy(grid=grid)
+    acting = 0
+    for name, w, f, ops in _triples(catalog_inputs, seeded_inputs, graded_acting_inputs, pure_orbit_inputs):
+        for k, fk, ops_k in verify._graded_pieces(w, f, ops):
+            acting += any(not op.is_zero() for op in ops_k)
+            gm = graded_maps(w, k)
+            for y in policy.grid_points(len(ops)):
+                whole = whole_space_orbit_point(f, ops, y).map_image(gm.project, within=w.at(k))
+                graded = orbit_point(fk, ops_k, y)
+                assert whole == graded and whole.steps == graded.steps, (name, k, y)
+    # The identity is exercised where the induced operators move the piece.
+    assert acting >= 20
+
+
+@pytest.mark.parametrize("grid", [(4, 8, 16), (3,)], ids=str)
+def test_sampled_mhs_matches_the_whole_space_reference(
+    grid, catalog_inputs, seeded_inputs, graded_acting_inputs, pure_orbit_inputs
+):
+    policy = Policy(grid=grid)
+    verdicts = set()
+    moved_decides = False
+    for name, w, f, ops in _triples(catalog_inputs, seeded_inputs, graded_acting_inputs, pure_orbit_inputs):
+        for ff in (f, f.shift(1)):
+            pieces = verify._graded_pieces(w, ff, ops)
+            got = verify._sampled_mhs(pieces, len(ops), policy)
+            assert got == reference_whole_space_sampled_mhs(w, ff, ops, policy), name
+            verdicts.add(got)
+            moved_decides |= got != all(is_pure_hs(k, fk) for k, fk, _ in pieces)
+    assert verdicts == {True, False}
+    # Some verdicts differ from those of the unmoved pieces, so a clause
+    # that skipped moving them would fail here.
+    assert moved_decides
+
+
+def test_graded_pieces_are_those_of_graded_piece(catalog_inputs, seeded_inputs):
+    """The helper of ``_unpolarized_mixed_ok`` and the pieces
+    ``check_mixed_orbit`` takes from ``graded_piece`` agree."""
+    for name, h in catalog_inputs + seeded_inputs:
+        want = [(k, graded_piece(h, k).hodge_filtration, graded_piece(h, k).operators) for k in h.weights()]
+        assert verify._graded_pieces(h.weight_filtration, h.hodge_filtration, h.operators) == want, name

@@ -387,11 +387,15 @@ def test_sampled_membership_reports_every_point_when_filtrations_repeat(monkeypa
     expected = tuple((y, reference_is_polarized_hs(o.weight, f, o.pairing)) for y, f in zip(grid, moved))
     calls = []
 
+    core = verify._is_polarized
+
     def counted(w, f, s):
         calls.append(f)
-        return is_polarized_hs(w, f, s)
+        return core(w, f, s)
 
-    monkeypatch.setattr(verify, "is_polarized_hs", counted)
+    # The polarization test shared with is_polarized_hs, whose pairing
+    # checks sampled_orbit_membership runs once before the first point.
+    monkeypatch.setattr(verify, "_is_polarized", counted)
     report = sampled_orbit_membership(o, y_grid=grid)
     assert report.points == expected
     assert len(calls) == len(set(moved))

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+
+from hodgeorbit import verify
 
 from hodgeorbit.catalog import (
     gen_elliptic_orbit,
@@ -34,6 +37,7 @@ from hodgeorbit.verify import (
     lefschetz_graded_pairings,
     mhs_failures,
     operator_sum_facts,
+    orbit_point,
     primitive_parts,
     sampled_orbit_membership,
     shear_equivalence_report,
@@ -50,6 +54,15 @@ def filt(n, pairs):
 def test_unit_is_pure():
     f = filt(1, [(0, Subspace.full(1)), (1, Subspace.zero(1))])
     assert is_pure_hs(0, f)
+
+
+@pytest.mark.xfail(strict=True, reason="hodge_decomposition tests no degree below the first jump of F")
+@pytest.mark.parametrize("w", [-1, -5])
+def test_unit_is_pure_of_weight_zero_only(w):
+    """Q(i)^1 with F^0 = V and F^1 = 0 is the Hodge structure of type
+    (0, 0): for w != 0 some degree p has F^p = V = conj F^{w+1-p}."""
+    f = filt(1, [(0, Subspace.full(1)), (1, Subspace.zero(1))])
+    assert not is_pure_hs(w, f)
 
 
 def test_weight_one_purity_needs_transverse_conjugate():
@@ -184,6 +197,99 @@ def test_sampled_membership_examples():
     assert not sampled_orbit_membership(gen_elliptic_orbit(flip=True)).all_pass
     o0 = OrbitDatum(1, o.pairing, (), gen_elliptic_orbit(tau=GaussScalar(0, 1)).hodge_filtration)
     assert sampled_orbit_membership(o0).all_pass
+
+
+def test_orbit_point_is_f_itself_when_the_exponent_vanishes():
+    o = gen_elliptic_orbit()
+    f, n = o.hodge_filtration, o.operators[0]
+    four = Fraction(4)
+    assert orbit_point(f, (), ()) is f
+    assert orbit_point(f, (n, n), (four, -four)) is f
+    assert orbit_point(f, (n.scale(0),), (four,)) is f
+    moved = orbit_point(f, (n,), (four,))
+    assert moved != f and moved == f.map_image(verify.exp_twisted_combination((n,), (four,)))
+    with pytest.raises(ValueError, match="coefficient count mismatch"):
+        orbit_point(f, (n, n), (four,))
+
+
+def test_sampled_mhs_tests_each_distinct_graded_filtration_once(monkeypatch):
+    calls = []
+
+    def counted(w, f):
+        calls.append((w, f))
+        return is_pure_hs(w, f)
+
+    monkeypatch.setattr(verify, "is_pure_hs", counted)
+    # Graded operators that vanish leave each piece where it is: one test
+    # per piece, however many grid points.
+    h = gen_two_operator_kummer()
+    pieces = verify._graded_pieces(h.weight_filtration, h.hodge_filtration, h.operators)
+    assert all(op.is_zero() for _, _, ops in pieces for op in ops)
+    assert verify._sampled_mhs(pieces, 2, Policy())
+    assert sorted(calls, key=lambda c: c[0]) == [(k, fk) for k, fk, _ in sorted(pieces, key=lambda p: p[0])]
+    # A piece the operator moves: the grid (4, 8, 4) meets two distinct
+    # points, each tested once; a second call tests them again.
+    o = gen_elliptic_orbit()
+    pieces = [(o.weight, o.hodge_filtration, o.operators)]
+    for _ in range(2):
+        calls.clear()
+        assert verify._sampled_mhs(pieces, 1, Policy(grid=(4, 8, 4)))
+        assert calls == [(1, orbit_point(o.hodge_filtration, o.operators, (Fraction(y),))) for y in (4, 8)]
+
+
+def test_sampled_membership_validates_the_pairing_once(monkeypatch):
+    o = gen_elliptic_orbit()
+    perfect = []
+    is_perfect = Pairing.is_perfect
+
+    def counted(p):
+        perfect.append(p)
+        return is_perfect(p)
+
+    monkeypatch.setattr(Pairing, "is_perfect", counted)
+    report = sampled_orbit_membership(o)
+    assert report.all_pass and len(report.points) == 3
+    assert len(perfect) == 1
+
+
+@pytest.mark.parametrize(
+    "pairing, message",
+    [
+        (Pairing(Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), -1, -1), "pairing size does not match the space"),
+        (Pairing(Matrix([[1, 0], [0, 1]]), -1, 1), "pairing has wrong twist or symmetry for the weight"),
+        (Pairing(Matrix([[0, 0], [0, 0]]), -1, -1), "pairing is degenerate"),
+    ],
+)
+def test_sampled_membership_refuses_a_bad_pairing_before_the_first_point(monkeypatch, pairing, message):
+    o = gen_elliptic_orbit()
+    moved = []
+    monkeypatch.setattr(verify, "orbit_point", lambda *args: moved.append(args))
+    datum = SimpleNamespace(weight=1, pairing=pairing, operators=o.operators, hodge_filtration=o.hodge_filtration)
+    with pytest.raises(ValueError, match=message):
+        sampled_orbit_membership(datum)
+    assert moved == []
+
+
+def test_sampled_membership_stops_at_the_first_failing_point(monkeypatch):
+    tested = []
+    core = verify._is_polarized
+
+    def counted(w, f, s):
+        tested.append(f)
+        return core(w, f, s)
+
+    monkeypatch.setattr(verify, "_is_polarized", counted)
+    o = gen_elliptic_orbit(flip=True)
+    grid = Policy().grid_points(1)
+    full = sampled_orbit_membership(o, y_grid=grid)
+    assert not full.points[0][1] and len(full.points) == len(grid) == len(tested)
+    tested.clear()
+    probe = sampled_orbit_membership(o, y_grid=grid, stop_at_failure=True)
+    assert probe.points == full.points[:1] and not probe.all_pass
+    assert len(tested) == 1
+    # A passing probe still reports every point.
+    ok = gen_elliptic_orbit()
+    assert sampled_orbit_membership(ok, y_grid=grid, stop_at_failure=True) == sampled_orbit_membership(ok, y_grid=grid)
 
 
 # -- verdicts ----------------------------------------------------------------

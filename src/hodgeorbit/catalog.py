@@ -294,15 +294,16 @@ def gen_nonisotropic_parts():
 # Seeded random generators
 
 
-def random_nilpotent(rng: random.Random, dim: int, density: float = 0.6) -> Matrix:
+def random_nilpotent(rng: random.Random, dim: int) -> Matrix:
     """Strictly upper-triangular (after a random permutation) rational
-    matrix; always nilpotent."""
+    matrix with about 60 % of the entries above the diagonal nonzero;
+    always nilpotent."""
     perm = list(range(dim))
     rng.shuffle(perm)
     rows = [[ZERO] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            if rng.random() < density:
+            if rng.random() < 0.6:
                 rows[perm[i]][perm[j]] = GaussScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
     return Matrix(rows)
 

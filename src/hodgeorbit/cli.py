@@ -226,6 +226,8 @@ def cmd_prop44(args) -> int:
     obj = docio.parse(_read_input(args))
     if not isinstance(obj, OrbitDatum):
         raise docio.ValidationError("prop44 expects an orbit document")
+    if not obj.operators:
+        raise docio.ValidationError("prop44 needs an orbit document with at least one operator")
     rep = shear_equivalence_report(obj, _policy(args))
     report = {
         "agree": rep.agree,

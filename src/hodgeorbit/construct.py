@@ -69,7 +69,7 @@ from .verify import (
     Policy,
     Verdict,
     check_pure_orbit,
-    lefschetz_graded_pairings,
+    mixed_side,
     primitive_parts,
     REFUTED,
     sampled_orbit_membership,
@@ -513,10 +513,10 @@ def _embed(h: HodgeDatum, policy: Policy) -> EmbeddingCertificate:
     for wt in h.weights():
         if h.pairing(wt) is None:
             raise ValueError(f"missing pairing at weight {wt}")
-    return _embed_window(h, max(h.weights()), policy, final=True)
+    return _embed_window(h, max(h.weights()), policy)
 
 
-def _embed_window(h: HodgeDatum, window_top: int, policy: Policy, final: bool) -> EmbeddingCertificate:
+def _embed_window(h: HodgeDatum, window_top: int, policy: Policy) -> EmbeddingCertificate:
     span = window_top - min(h.weights()) + 1
     if span <= 1:
         return _pure_base_certificate(h, window_top, policy)
@@ -524,10 +524,11 @@ def _embed_window(h: HodgeDatum, window_top: int, policy: Policy, final: bool) -
         return embed_two_weights(h, top_weight=window_top, policy=policy)
     w = window_top
     # Inner stages are scaffolding; their verdicts are re-derived on the
-    # final merged certificate, so they run on a thin sampling grid.
-    quick = Policy(grid=policy.grid[:1], shears=policy.shears) if final else policy
+    # final merged certificate, so they run on a thin sampling grid; an
+    # inner stage, already on it, thins it to itself.
+    quick = Policy(grid=policy.grid[:1], shears=policy.shears)
     h_low, incl_low = sub_truncate(h, w - 1)
-    low_cert = _embed_window(h_low, w - 1, quick, final=False)
+    low_cert = _embed_window(h_low, w - 1, quick)
     if not low_cert.verified:
         raise ValueError(f"recursive embedding failed below weight {w}")
     j_datum, map_h = _glue_extension(h, w, incl_low, low_cert)
@@ -660,12 +661,9 @@ def orbit_to_mixed(o: OrbitDatum, policy: Policy | None = None) -> PairedDatum:
     verdict = check_pure_orbit(o, policy)
     if verdict.status == REFUTED:
         raise ValueError("orbit datum is refuted; no mixed counterpart")
-    n0 = o.operators[0]
-    wfilt = shift(weight_monodromy(n0), o.weight)
-    pairings = lefschetz_graded_pairings(o)
-    datum = make_datum(wfilt, o.hodge_filtration, o.operators[1:], pairings, o.twist_tag)
+    datum = mixed_side(o)
     _check_condition_2(o, policy)
-    return PairedDatum(datum, o.weight, o.pairing, n0)
+    return PairedDatum(datum, o.weight, o.pairing, o.operators[0])
 
 
 def _check_condition_2(o: OrbitDatum, policy: Policy):

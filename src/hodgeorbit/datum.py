@@ -345,8 +345,8 @@ class PairedDatum:
 # Morphisms
 
 
-def morphism_defects(f: Matrix, a: HodgeDatum, b: HodgeDatum, strict: bool = True) -> list:
-    """Reasons why f is not a (strict) morphism a -> b; empty list if it is."""
+def morphism_defects(f: Matrix, a: HodgeDatum, b: HodgeDatum) -> list:
+    """Reasons why f is not a strict morphism a -> b; empty list if it is."""
     defects = []
     if f.shape != (b.dim, a.dim):
         return [f"shape {f.shape} does not map dim {a.dim} to dim {b.dim}"]
@@ -364,7 +364,7 @@ def morphism_defects(f: Matrix, a: HodgeDatum, b: HodgeDatum, strict: bool = Tru
         img = image_of_subspace(f, a.weight_filtration.at(k))
         if not b.weight_filtration.at(k).contains_subspace(img):
             defects.append(f"does not preserve W_{k}")
-        elif strict and img != intersect(fa_img, b.weight_filtration.at(k)):
+        elif img != intersect(fa_img, b.weight_filtration.at(k)):
             defects.append(f"not strict at W_{k}")
     for p in sorted(set(a.hodge_filtration.jumps()) | set(b.hodge_filtration.jumps())):
         img = image_of_subspace(f, a.hodge_filtration.at(p))
@@ -373,8 +373,8 @@ def morphism_defects(f: Matrix, a: HodgeDatum, b: HodgeDatum, strict: bool = Tru
     return defects
 
 
-def is_morphism(f: Matrix, a: HodgeDatum, b: HodgeDatum, strict: bool = True) -> bool:
-    return not morphism_defects(f, a, b, strict)
+def is_morphism(f: Matrix, a: HodgeDatum, b: HodgeDatum) -> bool:
+    return not morphism_defects(f, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def pushout(f: Matrix, g: Matrix, a: HodgeDatum, b: HodgeDatum, c: HodgeDatum):
         "f": (f, a, b),
         "g": (g, a, c),
     }.items():
-        defects = morphism_defects(mp, src, dst, strict=True)
+        defects = morphism_defects(mp, src, dst)
         if defects:
             raise ValueError(f"pushout leg {name} is not a strict morphism: {defects}")
     if b.twist_tag != c.twist_tag:

@@ -159,7 +159,7 @@ def lift_class(c: ExtensionClass, surj: Matrix, source: HodgeDatum, target: Hodg
     return normalize_class(source, pre)
 
 
-def build_unit_extension(q: HodgeDatum, rep, monodromy_parts=None, unit_pairing: bool = True) -> HodgeDatum:
+def build_unit_extension(q: HodgeDatum, rep, monodromy_parts=None) -> HodgeDatum:
     """The extension datum of the unit object by q with Hodge representative
     ``rep`` (a vector in q-coordinates) and rational monodromy parts N_j(e).
 
@@ -183,8 +183,7 @@ def build_unit_extension(q: HodgeDatum, rep, monodromy_parts=None, unit_pairing:
         rows = [list(row) + [GaussScalar.of(part[i])] for i, row in enumerate(op.entries)]
         rows.append([ZERO] * (n + 1))
         ops.append(Matrix.from_rows(rows, n + 1))
-    pairings = {w: p for w, p in q.graded_pairings}
-    if unit_pairing:
-        pairings[0] = unit.pairing(0)
+    pairings = dict(q.graded_pairings)
+    pairings[0] = unit.pairing(0)
     return make_datum(wf, ff, ops, pairings, q.twist_tag)
 

@@ -238,7 +238,12 @@ class AdmissibilityReport:
         return self.partial_sums_exist and self.sampled_cone_constant
 
 
-def admissibility_report(w: Filtration, operators, samples=((1,), (2, 3))) -> AdmissibilityReport:
+# The positive coefficient patterns of the cone spot check, each repeated
+# across the operators.
+CONE_SAMPLES = ((1,), (2, 3))
+
+
+def admissibility_report(w: Filtration, operators) -> AdmissibilityReport:
     """Partial-sum relative filtrations exist, plus a spot check that the
     relative filtration is constant across sampled positive combinations.
 
@@ -272,7 +277,7 @@ def admissibility_report(w: Filtration, operators, samples=((1,), (2, 3))) -> Ad
         if ref is None:
             cone_ok = False
         else:
-            for sample in samples:
+            for sample in CONE_SAMPLES:
                 coeffs = list(sample) * ((len(ops) + len(sample) - 1) // len(sample))
                 m = relative(Matrix.combination([Fraction(c) for c in coeffs], ops))
                 same = m is not None and m.filtration == ref

@@ -21,7 +21,6 @@ from .datum import (
     Pairing,
     first_relation_failure,
     graded_maps,
-    graded_piece,
     make_datum,
     shear_operators,
     weight_symmetry,
@@ -248,12 +247,7 @@ def _polarized_piece(f: Filtration, p: int, q: int, s: Matrix) -> Subspace:
 
 def mhs_failures(h: HodgeDatum) -> list:
     """Weights whose graded piece is not a pure Hodge structure."""
-    bad = []
-    for w in h.weights():
-        piece = graded_piece(h, w)
-        if piece.dim and not is_pure_hs(w, piece.hodge_filtration):
-            bad.append(w)
-    return bad
+    return [k for k, fk, _ in _graded_pieces(h.weight_filtration, h.hodge_filtration, ()) if not is_pure_hs(k, fk)]
 
 
 def is_mhs(h: HodgeDatum) -> bool:
@@ -306,11 +300,13 @@ class PrimitivePart:
     pairing: Pairing  # (u, v) -> <u, N0^(k-w) v>
     hodge_filtration: Filtration  # induced, in primitive coordinates
     operators: tuple  # induced remaining operators, in primitive coordinates
+    inclusion: Matrix  # primitive coordinates -> V
 
 
 @dataclass(frozen=True)
 class PrimitiveDecomposition:
     weight: int
+    weight_filtration: Filtration  # W(N_0)[-w]
     parts: tuple
     lefschetz_ok: bool
 
@@ -349,8 +345,8 @@ def primitive_parts(o: OrbitDatum) -> PrimitiveDecomposition:
         sel = Matrix.identity(gm.dim).select_rows(pivots)
         ff = o.hodge_filtration.map_image(gm.project, within=wfilt.at(k)).map_image(sel, within=prim)
         ops = tuple(gm.project.select_rows(pivots) @ op @ gm.section @ prim.basis.transpose() for op in o.operators[1:])
-        parts.append(PrimitivePart(k, prim, pairing, ff, ops))
-    return PrimitiveDecomposition(w, tuple(parts), count == n)
+        parts.append(PrimitivePart(k, prim, pairing, ff, ops, incl))
+    return PrimitiveDecomposition(w, wfilt, tuple(parts), count == n)
 
 
 def _powers(m: Matrix, d: int) -> list:
@@ -361,44 +357,27 @@ def _powers(m: Matrix, d: int) -> list:
     return out
 
 
-def lefschetz_graded_pairings(o: OrbitDatum):
-    """Graded pairings on gr of W(N_0)[-w] assembled from the primitive
+def mixed_side(o: OrbitDatum) -> HodgeDatum:
+    """The mixed side of an orbit datum: W = W(N_0)[-w], the same F, the
+    remaining operators, and graded pairings assembled from the primitive
     decomposition (orthogonal components, primitive forms transported by
     powers of N_0)."""
-    n0 = o.operators[0]
-    w = o.weight
-    wfilt = shift(weight_monodromy(n0), w)
     dec = primitive_parts(o)
-    by_weight = {part.weight_k: part for part in dec.parts}
-    powers = _powers(n0, (wfilt.max_index() - wfilt.min_index()) // 2)
+    wfilt, w = dec.weight_filtration, o.weight
+    powers = _powers(o.operators[0], wfilt.max_index() - w)
     pairings = {}
     for k in wfilt.jumps():
+        # The component N_0^j P_m, m = k + 2j, of gr_k; N_0^j is injective
+        # on the primitive part of gr_m only while j <= m - w, i.e.
+        # m >= 2w - k, so lower components push to zero.
+        comps = [p for p in dec.parts if p.weight_k >= max(k, 2 * w - k) and (p.weight_k - k) % 2 == 0]
         gm = graded_maps(wfilt, k)
-        if gm.dim == 0:
-            continue
-        cols = []
-        blocks = []
-        j = 0
-        while True:
-            m = k + 2 * j
-            if m > wfilt.max_index():
-                break
-            part = by_weight.get(m)
-            # N^j is injective on the primitive part of gr_m only while
-            # j <= m - w, i.e. m >= 2w - k; lower components push to zero.
-            if part is not None and m >= w and m >= 2 * w - k:
-                gm_m = graded_maps(wfilt, m)
-                incl_m = gm_m.section @ part.subspace.basis.transpose()
-                for col in range(part.subspace.dim):
-                    rep = incl_m.col(col)
-                    cols.append(gm.project.apply(powers[j].apply(rep)))
-                blocks.append(part.pairing.matrix)
-            j += 1
-        if len(cols) != gm.dim:
+        if sum(p.subspace.dim for p in comps) != gm.dim:
             raise ValueError(f"Lefschetz components do not exhaust gr at weight {k}")
-        phi = Matrix.from_rows(list(zip(*cols)), len(cols))
-        pairings[k] = Pairing.of_weight(Matrix.block_diag(*blocks), k).transport(phi)
-    return pairings
+        phi = reduce(Matrix.augment, [gm.project @ powers[(p.weight_k - k) // 2] @ p.inclusion for p in comps])
+        blocks = Matrix.block_diag(*(p.pairing.matrix for p in comps))
+        pairings[k] = Pairing.of_weight(blocks, k).transport(phi)
+    return make_datum(wfilt, o.hodge_filtration, o.operators[1:], pairings, o.twist_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -521,25 +500,21 @@ def check_mixed_orbit(h: HodgeDatum, policy: Policy | None = None) -> Verdict:
     evidence.append(("admissibility_partial_sums", adm.partial_sums_exist, str(adm.details)))
     evidence.append(("admissibility_cone_samples", adm.sampled_cone_constant, ""))
     graded_ok = True
-    pieces = []
-    for w in h.weights():
-        piece = graded_piece(h, w)
-        if piece.dim == 0:
-            continue
-        pieces.append((w, piece.hodge_filtration, piece.operators))
-        pairing = piece.pairing(w)
+    pieces = _graded_pieces(h.weight_filtration, h.hodge_filtration, h.operators)
+    for k, fk, ops in pieces:
+        pairing = h.pairing(k)
         if pairing is None:
             graded_ok = False
-            evidence.append((f"graded_{w}", False, "missing pairing"))
+            evidence.append((f"graded_{k}", False, "missing pairing"))
             continue
         try:
-            gr_orbit = OrbitDatum(w, pairing, piece.operators, piece.hodge_filtration, piece.twist_tag)
+            gr_orbit = OrbitDatum(k, pairing, ops, fk, h.twist_tag)
         except ValueError as exc:
             graded_ok = False
-            evidence.append((f"graded_{w}", False, str(exc)))
+            evidence.append((f"graded_{k}", False, str(exc)))
             continue
         verdict = check_pure_orbit(gr_orbit, policy)
-        evidence.append((f"graded_{w}", verdict.passed, verdict.status))
+        evidence.append((f"graded_{k}", verdict.passed, verdict.status))
         graded_ok = graded_ok and verdict.passed
     sampled_ok = _sampled_mhs(pieces, len(h.operators), policy)
     evidence.append(("sampled_mhs", sampled_ok, ""))
@@ -558,7 +533,10 @@ class ShearEquivalence:
     left: tuple  # (shear value, Verdict)
     right_mixed: Verdict
     right_primitive: tuple  # (weight k, Verdict)
-    agree: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.left_positive == self.right_positive
 
     @property
     def left_positive(self) -> bool:
@@ -573,9 +551,9 @@ def shear_equivalence_report(o: OrbitDatum, policy: Policy | None = None) -> She
     """Both sides of the shear criterion: the sheared pure orbit with the
     designated operator mixed into the others versus the mixed-orbit and
     primitive-orbit conditions for the designated operator alone."""
+    if not o.operators:
+        raise ValueError("orbit datum has no designated operator")
     policy = policy or Policy()
-    n0 = o.operators[0]
-    rest = o.operators[1:]
     left = []
     for a in policy.shears:
         try:
@@ -583,11 +561,8 @@ def shear_equivalence_report(o: OrbitDatum, policy: Policy | None = None) -> She
             left.append((a, check_pure_orbit(datum, policy)))
         except ValueError as exc:
             left.append((a, Verdict(REFUTED, (("construction", False, str(exc)),))))
-    wfilt = shift(weight_monodromy(n0), o.weight)
     try:
-        pairings = lefschetz_graded_pairings(o)
-        mixed = make_datum(wfilt, o.hodge_filtration, rest, pairings, o.twist_tag)
-        right_mixed = check_mixed_orbit(mixed, policy)
+        right_mixed = check_mixed_orbit(mixed_side(o), policy)
     except ValueError as exc:
         right_mixed = Verdict(REFUTED, (("construction", False, str(exc)),))
     right_prim = []
@@ -603,9 +578,7 @@ def shear_equivalence_report(o: OrbitDatum, policy: Policy | None = None) -> She
             right_prim.append((o.weight, Verdict(REFUTED, (("lefschetz_count", False, ""),))))
     except ValueError as exc:
         right_prim.append((o.weight, Verdict(REFUTED, (("construction", False, str(exc)),))))
-    report = ShearEquivalence(tuple(left), right_mixed, tuple(right_prim), False)
-    agree = report.left_positive == report.right_positive
-    return ShearEquivalence(report.left, report.right_mixed, report.right_primitive, agree)
+    return ShearEquivalence(tuple(left), right_mixed, tuple(right_prim))
 
 
 # ---------------------------------------------------------------------------

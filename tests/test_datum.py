@@ -109,7 +109,7 @@ def test_sub_truncate_and_morphism():
     h = gen_three_weight_mixed()
     low, incl = sub_truncate(h, -1)
     assert low.weights() == (-2, -1)
-    assert is_morphism(incl, low, h, strict=True)
+    assert is_morphism(incl, low, h)
 
 
 def test_pushout_identity_legs():
@@ -162,7 +162,7 @@ def test_trace_is_a_morphism_into_the_unit():
     n = a.dim
     trace = Matrix.from_rows([[ONE if i == j else ZERO for i in range(n) for j in range(n)]], n * n)
     unit = gen_tate(0)
-    assert is_morphism(trace, t, unit, strict=True)
+    assert is_morphism(trace, t, unit)
 
 
 def test_direct_sum_with_zero_datum():

@@ -305,6 +305,23 @@ def test_operator_index_out_of_range_exits_2(command, name, index, tmp_path, cap
     assert err == "error: operator index out of range\n"
 
 
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        ("prop44", 2, "error: prop44 needs an orbit document with at least one operator\n"),
+        ("orbit-to-mixed", 1, "refuted: orbit datum has no designated operator\n"),
+    ],
+)
+def test_orbit_document_without_operators(command, code, err, tmp_path, capsys):
+    # prop44 once escaped main here as an IndexError (exit 3).
+    doc = json.loads(docio.serialize(gen_elliptic_orbit()))
+    doc["operators"] = []
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_internal_error_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("broken invariant")

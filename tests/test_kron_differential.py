@@ -353,7 +353,7 @@ def test_unit_extension_filtrations_match_the_padding_loop(data):
     w = data.draw(filtrations(n, True, rational=True))
     q = make_datum(w.shift(-1 - w.max_index()), data.draw(filtrations(n, False)), [])
     rep = tuple(_gauss(data.draw) for _ in range(n))
-    ext = build_unit_extension(q, rep, unit_pairing=False)
+    ext = build_unit_extension(q, rep)
     assert (ext.weight_filtration, ext.hodge_filtration) == reference_unit_extension_filtrations(q, rep)
 
 

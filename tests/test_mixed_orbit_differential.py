@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from hodgeorbit import monodromy, verify
-from hodgeorbit.catalog import catalog_entries, gen_random_mhs, random_invertible
+from hodgeorbit import datum, monodromy, verify
+from hodgeorbit.catalog import catalog_by_name, catalog_entries, gen_random_mhs, random_invertible
 from hodgeorbit.datum import graded_maps, graded_piece, make_datum, matrix_inverse
 from hodgeorbit.filtration import Filtration, trivial_weight_filtration
 from hodgeorbit.linalg import Matrix, Subspace
@@ -304,8 +304,35 @@ def test_sampled_mhs_matches_the_whole_space_reference(
 
 
 def test_graded_pieces_are_those_of_graded_piece(catalog_inputs, seeded_inputs):
-    """The helper of ``_unpolarized_mixed_ok`` and the pieces
-    ``check_mixed_orbit`` takes from ``graded_piece`` agree."""
+    """The pieces of ``verify._graded_pieces`` and those of ``graded_piece``
+    agree."""
     for name, h in catalog_inputs + seeded_inputs:
         want = [(k, graded_piece(h, k).hodge_filtration, graded_piece(h, k).operators) for k in h.weights()]
         assert verify._graded_pieces(h.weight_filtration, h.hodge_filtration, h.operators) == want, name
+
+
+def test_mixed_verdicts_need_no_graded_piece_datum(catalog_inputs, monkeypatch):
+    """``check_mixed_orbit`` and ``mhs_failures`` read their graded pieces
+    from ``verify._graded_pieces``: with ``graded_piece`` broken they return
+    what they return with the pieces read off ``graded_piece`` data, as
+    they once were."""
+
+    def pieces_of_graded_piece(w, f, operators):
+        h = make_datum(w, f, operators)
+        return [(k, graded_piece(h, k).hodge_filtration, graded_piece(h, k).operators) for k in w.jumps()]
+
+    def broken(*args):
+        raise RuntimeError("graded_piece called")
+
+    inputs = catalog_inputs + [(f"{name} F shifted by 1", _hodge_shifted(h, 1)) for name, h in catalog_inputs]
+    policy = Policy()
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_graded_pieces", pieces_of_graded_piece)
+        want = [(verify.check_mixed_orbit(h, policy), verify.mhs_failures(h)) for _, h in inputs]
+    monkeypatch.setattr(datum, "graded_piece", broken)
+    monkeypatch.setattr(verify, "graded_piece", broken, raising=False)
+    for (name, h), expected in zip(inputs, want):
+        assert (verify.check_mixed_orbit(h, policy), verify.mhs_failures(h)) == expected, name
+    for (name, _), (verdict, _) in zip(catalog_inputs, want):
+        assert verdict.status == catalog_by_name(name).expectation("check_mixed_orbit"), name
+    assert any(bad for _, bad in want)

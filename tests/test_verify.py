@@ -6,6 +6,9 @@ import pytest
 from hodgeorbit import verify
 
 from hodgeorbit.catalog import (
+    catalog_by_name,
+    catalog_entries,
+    catalog_names,
     gen_elliptic_orbit,
     gen_elliptic_sum_orbit,
     gen_hodge_tate_orbit,
@@ -18,9 +21,11 @@ from hodgeorbit.catalog import (
     gen_three_weight_mixed,
     gen_two_operator_kummer,
 )
-from hodgeorbit.datum import OrbitDatum, Pairing
+from hodgeorbit.construct import embed_general
+from hodgeorbit.datum import OrbitDatum, Pairing, graded_maps, make_datum, shear_operators
 from hodgeorbit.filtration import Filtration
 from hodgeorbit.linalg import Matrix, Subspace
+from hodgeorbit.monodromy import shift, weight_monodromy
 from hodgeorbit.scalars import GaussScalar
 from hodgeorbit.verify import (
     CERTIFIED,
@@ -34,8 +39,8 @@ from hodgeorbit.verify import (
     is_mhs,
     is_polarized_hs,
     is_pure_hs,
-    lefschetz_graded_pairings,
     mhs_failures,
+    mixed_side,
     operator_sum_facts,
     orbit_point,
     primitive_parts,
@@ -178,13 +183,107 @@ def test_lefschetz_dimension_identity():
 
 def test_lefschetz_graded_pairings_polarize():
     o = gen_hodge_tate_orbit()
-    pairings = lefschetz_graded_pairings(o)
-    from hodgeorbit.monodromy import shift, weight_monodromy
-
+    pairings = dict(mixed_side(o).graded_pairings)
     wfilt = shift(weight_monodromy(o.operators[0]), o.weight)
     assert set(pairings) == set(wfilt.jumps())
     for w, p in pairings.items():
         assert p.symmetry == (-1) ** (w % 2) and p.is_perfect()
+
+
+def reference_lefschetz_graded_pairings(o):
+    """The graded pairings of ``mixed_side`` as they were first assembled:
+    W(N_0)[-w] computed afresh, and each primitive basis vector carried by
+    a power of N_0 and projected to gr_k one column at a time."""
+    n0 = o.operators[0]
+    w = o.weight
+    wfilt = shift(weight_monodromy(n0), w)
+    by_weight = {part.weight_k: part for part in primitive_parts(o).parts}
+    pairings = {}
+    for k in wfilt.jumps():
+        gm = graded_maps(wfilt, k)
+        cols = []
+        blocks = []
+        for j, m in enumerate(range(k, wfilt.max_index() + 1, 2)):
+            part = by_weight.get(m)
+            if part is not None and m >= w and m >= 2 * w - k:
+                incl_m = graded_maps(wfilt, m).section @ part.subspace.basis.transpose()
+                for col in range(part.subspace.dim):
+                    cols.append(gm.project.apply(n0.power(j).apply(incl_m.col(col))))
+                blocks.append(part.pairing.matrix)
+        if len(cols) != gm.dim:
+            raise ValueError(f"Lefschetz components do not exhaust gr at weight {k}")
+        phi = Matrix.from_rows(list(zip(*cols)), len(cols))
+        pairings[k] = Pairing.of_weight(Matrix.block_diag(*blocks), k).transport(phi)
+    return pairings
+
+
+def reference_mixed_side(o):
+    wfilt = shift(weight_monodromy(o.operators[0]), o.weight)
+    pairings = reference_lefschetz_graded_pairings(o)
+    return make_datum(wfilt, o.hodge_filtration, o.operators[1:], pairings, o.twist_tag)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _orbits_of_the_harness(o):
+    """o, the sheared orbits ``shear_equivalence_report`` builds from it,
+    and its primitive sub-orbits that keep an operator."""
+    out = [o]
+    for a in Policy().shears:
+        try:
+            out.append(OrbitDatum(o.weight, o.pairing, shear_operators(o.operators, a), o.hodge_filtration, o.twist_tag))
+        except ValueError:
+            pass
+    for part in primitive_parts(o).parts:
+        try:
+            out.append(OrbitDatum(part.weight_k, part.pairing, part.operators, part.hodge_filtration, o.twist_tag))
+        except ValueError:
+            continue
+    return [x for x in out if x.operators]
+
+
+def test_mixed_side_matches_the_column_by_column_reference():
+    # The catalog orbits, and the targets of the catalog embeddings: up to
+    # dimension 24, with two Lefschetz components on some graded pieces.
+    sources = [e.build() for e in catalog_entries() if e.kind == "orbit"]
+    sources += [embed_general(catalog_by_name(name).build()).target for name in catalog_names("embed", "mixed_positive")]
+    orbits = [x for o in sources for x in _orbits_of_the_harness(o)]
+    assert any(len(o.operators) == 2 for o in orbits) and max(o.dim for o in orbits) == 24
+    for o in orbits:
+        assert _outcome(mixed_side, o) == _outcome(reference_mixed_side, o)
+
+
+def test_one_mixed_side_computes_the_weight_filtration_once(monkeypatch):
+    counts = {"weight_monodromy": 0, "primitive_parts": 0}
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("weight_monodromy")
+    counted("primitive_parts")
+    for entry in catalog_entries():
+        if entry.kind == "orbit":
+            counts.update(weight_monodromy=0, primitive_parts=0)
+            _outcome(mixed_side, entry.build())
+            assert counts == {"weight_monodromy": 1, "primitive_parts": 1}, entry.name
+
+
+def test_shear_equivalence_needs_a_designated_operator():
+    o = gen_elliptic_orbit()
+    bare = OrbitDatum(o.weight, o.pairing, (), o.hodge_filtration)
+    with pytest.raises(ValueError, match="^orbit datum has no designated operator$"):
+        shear_equivalence_report(bare)
 
 
 # -- sampling ----------------------------------------------------------------

@@ -3,9 +3,10 @@ embedding/surjection pipelines on serialized documents.
 
 Exit codes: 0 for a positive verdict (CERTIFIED or SUPPORTED, or a passing
 computation), 1 for REFUTED or a failed certificate, 2 for usage and
-validation errors, 3 for an internal error (a defect of the program, never
-a verdict).  Structured reports are canonical JSON, so identical
-inputs and flags produce byte-identical output.
+validation errors and for a file that cannot be read, decoded or written,
+3 for an internal error (a defect of the program, never a verdict).
+Structured reports are canonical JSON, so identical inputs and flags
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -317,15 +318,14 @@ def main(argv=None) -> int:
         # one that runs, whenever the parser was built.
         handler = globals()["cmd_" + args.command.replace("-", "_")]
         return handler(args)
-    except (docio.ParseError, docio.ValidationError) as exc:
+    except (docio.ParseError, docio.ValidationError, OSError, UnicodeDecodeError) as exc:
+        # Before ValueError, of which UnicodeDecodeError is one: a document
+        # that could not be read or written is no verdict.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # a defect, not a verdict: never exit 1 on it
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -47,6 +47,7 @@ from .datum import (
     tate_object,
     tate_twist,
     tensor,
+    transported_pairing,
     weight_symmetry,
 )
 from .extensions import build_unit_extension, carlson_class, normalize_class, unit_section_difference
@@ -242,7 +243,7 @@ def _verify_quotient_class(h, ext, q_datum, q_maps, psi, rep_tq, g):
     class as the twisted dual, compared over gr_{-1}(h)."""
     if q_datum.dim == 0:
         return
-    qd, proj_g = quotient_datum(ext, -2)
+    qd = quotient_datum(ext, -2)
     # Unit covector on the quotient: e-coordinate of the canonical section.
     bottom = ext.weight_filtration.at(-2)
     sec = quotient_section(bottom)
@@ -399,12 +400,6 @@ def certify_surjection(
 # Two-weight embedding
 
 
-def _attach_pairing(wf: Filtration, src: HodgeDatum, w: int, mp: Matrix) -> Pairing:
-    """Transport the weight-w pairing of src along mp, a map inducing an
-    isomorphism of gr_w(src) onto gr_w of the filtration wf."""
-    return src.pairing(w).transport(graded_maps(wf, w).project @ mp @ src.graded(w).section)
-
-
 def _pure_base_certificate(h: HodgeDatum, w: int, policy: Policy) -> EmbeddingCertificate:
     pairing = h.pairing(w)
     if pairing is None:
@@ -446,9 +441,9 @@ def embed_two_weights(h: HodgeDatum, top_weight=None, policy: Policy | None = No
         [[ONE if i == j else ZERO for i in range(bdim) for j in range(bdim)]], bdim * bdim
     )
     p_raw, map_tbh, map_unit = pushout(incl_bb, trace, tbb, tbh, unit_1)
-    pairings = {-2: _attach_pairing(p_raw.weight_filtration, unit_1, -2, map_unit)}
+    pairings = {-2: transported_pairing(p_raw.weight_filtration, unit_1, -2, map_unit)}
     if p_raw.weight_filtration.graded_dim(-1):
-        pairings[-1] = _attach_pairing(p_raw.weight_filtration, tbh, -1, map_tbh)
+        pairings[-1] = transported_pairing(p_raw.weight_filtration, tbh, -1, map_tbh)
     p_datum = make_datum(
         p_raw.weight_filtration,
         p_raw.hodge_filtration,
@@ -621,7 +616,7 @@ def _glue_extension(h: HodgeDatum, w: int, incl_low: Matrix, low_cert: Embedding
         ops.append(proj @ big @ sec)
     pairings = {}
     if wf.graded_dim(w):
-        pairings[w] = _attach_pairing(wf, h, w, map_h)
+        pairings[w] = transported_pairing(wf, h, w, map_h)
     pairings[w - 1] = i_orbit.pairing.transport(graded_maps(wf, w - 1).project @ map_i)
     j_datum = make_datum(wf, ff, ops, pairings, h.twist_tag)
     return j_datum, map_h

@@ -257,9 +257,14 @@ def _parse_mixed(doc):
     global_pairing = None
     for p in _pairings_in(doc):
         if p.get("weight") == "global":
+            if global_pairing is not None:
+                raise ValidationError("more than one global pairing")
             global_pairing = _pairing_in(p)
         else:
-            graded[_integer(p["weight"], "pairing weight")] = _pairing_in(p)
+            w = _integer(p["weight"], "pairing weight")
+            if w in graded:
+                raise ValidationError(f"more than one pairing at weight {w}")
+            graded[w] = _pairing_in(p)
     twist_tag = _integer(doc.get("twist_tag", 0), "twist_tag")
     try:
         datum = make_datum(wf, ff, ops, graded, twist_tag)

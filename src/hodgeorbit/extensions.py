@@ -31,14 +31,6 @@ class ExtensionClass:
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.representative)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExtensionClass):
-            return NotImplemented
-        return self.dim == other.dim and self.representative == other.representative
-
-    def __hash__(self):
-        return hash((self.dim, self.representative))
-
 
 def _realify(vec) -> tuple:
     re = [GaussScalar.of(x.re) for x in vec]

@@ -158,18 +158,6 @@ class Filtration:
     def is_rational(self) -> bool:
         return all(s.is_rational() for _, s in self.steps)
 
-    def __eq__(self, other):
-        if not isinstance(other, Filtration):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.increasing == other.increasing
-            and self.steps == other.steps
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.increasing, self.steps))
-
     def __repr__(self):
         kind = "W" if self.increasing else "F"
         body = ", ".join(f"{k}:{s.dim}" for k, s in self.steps)

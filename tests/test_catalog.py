@@ -41,8 +41,8 @@ def test_random_mhs_is_seed_reproducible():
     a = gen_random_mhs(12, profile, n_ops=2)
     b = gen_random_mhs(12, profile, n_ops=2)
     c = gen_random_mhs(13, profile, n_ops=2)
-    assert a.canonical_key() == b.canonical_key()
-    assert a.canonical_key() != c.canonical_key()
+    assert a == b
+    assert a != c
 
 
 def test_random_mhs_is_mhs_by_brute_force_graded_check():

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -128,6 +130,68 @@ def test_cli_random_catalog_entry(tmp_path, capsys):
 def test_cli_flag_validation(capsys):
     assert main(["check-orbit", "--input", "/nonexistent/x.json"]) == 2
     capsys.readouterr()
+
+
+# -- unreadable documents ------------------------------------------------------
+
+
+def _assert_usage_error(argv, capsys, reason):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err, err
+
+
+def test_non_utf8_input_file_is_an_error_not_a_verdict(tmp_path, capsys):
+    path = tmp_path / "kummer.json"
+    path.write_bytes(docio.serialize(gen_kummer(GaussScalar(0, 1))).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    _assert_usage_error(["check-mhs", "--input", str(path)], capsys, "can't decode byte 0xff")
+
+
+def test_non_utf8_stdin_is_an_error_not_a_verdict(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8"))
+    _assert_usage_error(["check-mhs"], capsys, "can't decode byte 0xff")
+
+
+def test_directory_as_input_or_output_is_an_error_not_a_defect(tmp_path, capsys):
+    _assert_usage_error(["check-mhs", "--input", str(tmp_path)], capsys, "Is a directory")
+    kummer = tmp_path / "kummer.json"
+    kummer.write_text(docio.serialize(gen_kummer(GaussScalar(0, 1))))
+    _assert_usage_error(["embed", "--input", str(kummer), "--output", str(tmp_path)], capsys, "Is a directory")
+
+
+# -- one pairing per weight ----------------------------------------------------
+
+
+def _negated(pairing):
+    neg = lambda x: [[-x[0][0], x[0][1]], [-x[1][0], x[1][1]]]
+    m = pairing["matrix"]
+    return {**pairing, "matrix": {**m, "entries": [[neg(x) for x in row] for row in m["entries"]]}}
+
+
+def test_a_weight_paired_twice_is_rejected_in_either_order(tmp_path, capsys):
+    doc = json.loads(docio.serialize(catalog_by_name("kummer_i").build()))
+    (bottom,) = [p for p in doc["pairings"] if p["weight"] == -2]
+    path = tmp_path / "twice.json"
+    for extra in (bottom, _negated(bottom)):
+        for pairings in (doc["pairings"] + [extra], [extra] + doc["pairings"]):
+            text = json.dumps({**doc, "pairings": pairings})
+            with pytest.raises(docio.ValidationError, match="more than one pairing at weight -2"):
+                docio.parse(text)
+            path.write_text(text)
+            _assert_usage_error(["check-mhs", "--input", str(path)], capsys, "more than one pairing at weight -2")
+
+
+def test_a_second_global_pairing_is_rejected(tmp_path, capsys):
+    doc = json.loads(docio.serialize(orbit_to_mixed(gen_elliptic_orbit())))
+    (glob,) = [p for p in doc["pairings"] if p["weight"] == "global"]
+    for extra in (glob, _negated(glob)):
+        text = json.dumps({**doc, "pairings": doc["pairings"] + [extra]})
+        with pytest.raises(docio.ValidationError, match="more than one global pairing"):
+            docio.parse(text)
+        path = tmp_path / "paired.json"
+        path.write_text(text)
+        _assert_usage_error(["mixed-to-orbit", "--input", str(path)], capsys, "more than one global pairing")
 
 
 def test_verify_certificate_rejects_tampering(tmp_path, capsys):

@@ -5,9 +5,12 @@ filtration once per call, and the sampled mixed-Hodge clause moves each
 graded piece of W by the operators induced on it, testing each distinct
 moved piece once per call.  The code they replaced is kept here as the
 reference: the un-memoised ``admissibility_report``, the sampled loop that
-built a ``HodgeDatum`` and ran ``is_mhs`` at every grid point, and the
-sampled loop that moved F on the whole space before projecting it to each
-graded piece.  Verdicts and facts must be identical with either.
+built a ``HodgeDatum`` and tested it for a mixed Hodge structure at every
+grid point, and the sampled loop that moved F on the whole space before
+projecting it to each graded piece.  Verdicts and facts must be identical
+with either.  The references take their graded pieces from the reference
+``graded_piece`` body, not from ``mhs_failures`` or ``_graded_pieces``,
+which are what they check.
 """
 
 import random
@@ -22,7 +25,8 @@ from hodgeorbit.filtration import Filtration, trivial_weight_filtration
 from hodgeorbit.linalg import Matrix, Subspace
 from hodgeorbit.monodromy import AdmissibilityReport, relative_monodromy
 from hodgeorbit.scalars import GaussScalar
-from hodgeorbit.verify import Policy, exp_twisted_combination, is_mhs, is_pure_hs, orbit_point
+from hodgeorbit.verify import Policy, exp_twisted_combination, is_pure_hs, orbit_point
+from reference_induced import reference_graded_piece
 
 # The profiles of the benchmark's triage workload.
 PROFILES = (
@@ -66,13 +70,19 @@ def reference_admissibility_report(w, operators, samples=((1,), (2, 3))):
     return AdmissibilityReport(partial_ok, cone_ok, tuple(details))
 
 
+def reference_is_mhs(h):
+    """Each graded piece of h pure of its weight, the pieces taken by the
+    reference ``graded_piece`` body."""
+    return all(is_pure_hs(k, reference_graded_piece(h, k).hodge_filtration) for k in h.weights())
+
+
 def reference_sampled_mhs(w, f, operators, policy):
     """The sampled clause of ``check_mixed_orbit`` as it was: a datum and
-    ``is_mhs`` at every grid point, every point tested."""
+    a mixed Hodge structure test at every grid point, every point tested."""
     sampled_ok = True
     for y in policy.grid_points(len(operators)):
         moved = make_datum(w, orbit_point(f, operators, y), [], {}, 0)
-        ok = is_mhs(moved)
+        ok = reference_is_mhs(moved)
         sampled_ok = sampled_ok and ok
     return sampled_ok
 
@@ -107,7 +117,7 @@ def reference_unpolarized_mixed_ok(w, operators, f, policy):
             moved = make_datum(w, fy, [], {}, 0)
         except ValueError:
             return False
-        if not is_mhs(moved):
+        if not reference_is_mhs(moved):
             return False
     return True
 
